@@ -12,7 +12,9 @@ report its presence separately in diagnostics.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -103,18 +105,41 @@ def _greedy_antichain(candidates: list[int], supports=None) -> list[int]:
 
 def _class_upper_bound(supports: list[frozenset[int]]) -> int:
     """Partition into prime-sharing classes; the class count bounds any
-    pairwise-coprime subset."""
-    remaining = [s for s in supports]
-    bound = sum(1 for s in remaining if not s)  # the element 1, if present
-    remaining = [s for s in remaining if s]
-    while remaining:
-        freq: dict[int, int] = {}
-        for s in remaining:
-            for p in s:
-                freq[p] = freq.get(p, 0) + 1
-        best_p = max(freq, key=lambda p: (freq[p], -p))
-        remaining = [s for s in remaining if best_p not in s]
+    pairwise-coprime subset.
+
+    Classes are taken greedily: each time, the prime shared by the most
+    remaining candidates (the smallest such prime on ties) forms a class and
+    its candidates leave. Counts are made once and then decremented.
+    """
+    bound = 0
+    holders: defaultdict[int, list[int]] = defaultdict(list)
+    for i, s in enumerate(supports):
+        if not s:
+            bound += 1  # the element 1, if present
+        for p in s:
+            holders[p].append(i)
+    count = {p: len(ids) for p, ids in holders.items()}
+    # max-heap on (count, -p); an entry whose count has since dropped is stale
+    heap = [(-c, p) for p, c in count.items()]
+    heapq.heapify(heap)
+    removed = bytearray(len(supports))
+    left = len(supports) - bound
+    while left:
+        c, p = heapq.heappop(heap)
+        if -c != count[p]:
+            if count[p]:
+                heapq.heappush(heap, (-count[p], p))
+            continue
+        if c == -1:
+            # no prime is shared any more: each candidate is its own class
+            return bound + left
         bound += 1
+        for i in holders[p]:
+            if not removed[i]:
+                removed[i] = 1
+                left -= 1
+                for q in supports[i]:
+                    count[q] -= 1
     return bound
 
 

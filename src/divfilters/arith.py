@@ -189,6 +189,17 @@ def omega(m: int) -> int:
     return sum(e for _, e in factorize(m).factors)
 
 
+def omega_table(n: int) -> bytearray:
+    """Omega(m) for every 1 <= m <= n, read off the smallest-prime-factor
+    sieve; entry 0 is unused. Omega stays below 2**8 up to the sieve cap."""
+    _SIEVE.ensure(max(n, 2))
+    spf = _SIEVE._spf
+    table = bytearray(n + 1)
+    for m in range(2, n + 1):
+        table[m] = table[m // spf[m]] + 1
+    return table
+
+
 def prime_support(m: int) -> frozenset[int]:
     """The set of distinct primes dividing m."""
     return frozenset(p for p, _ in factorize(m).factors)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import arith
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, FilterConstructionError, PreconditionError
 from .filters import FilterPresentation, divides_tilde, make_filter, principal
 from .semantics import DEFAULT_BUDGET, member
 from .setexpr import (
@@ -31,7 +31,7 @@ from .setexpr import (
     Up,
     render,
 )
-from .verdict import Verdict, proved, refuted
+from .verdict import Verdict, refuted, unknown
 
 MAX_FACTORIAL_ARG = 500
 
@@ -236,17 +236,13 @@ def _omission_verdict(
         return v
     witness = _avoiding_product_witness(chain, alpha, beta, limit)
     if witness is None:
-        from .verdict import unknown
-
         return unknown(budget, "no avoiding product within limit")
     in_core = member(link.core, witness, budget)
     in_target = member(target, witness, budget)
     if in_core.proved and in_target.refuted:
         return refuted(budget, witness)
-    if in_core.proved and in_target.proved:
-        return proved(budget, witness)
-    from .verdict import unknown
-
+    # a witness in both the core and the target only shows that they meet,
+    # not that the core lies inside the target
     return unknown(budget, witness)
 
 
@@ -263,5 +259,8 @@ def max_approx(k: int, budget: int = DEFAULT_BUDGET) -> FilterPresentation:
     for g in gens[1:]:
         core = Inter(core, g)
     witness = math.factorial(k)
-    assert member(core, witness, budget).proved
+    if not member(core, witness, budget).proved:
+        raise FilterConstructionError(
+            f"{witness} = {k}! is not a verified member of core {render(core)}"
+        )
     return FilterPresentation("generated", core, gens=gens, fip_witness=witness)

@@ -27,9 +27,7 @@ from .filters import (
 from .harness import LEMMA_IDS, HarnessParams, run_harness
 from .semantics import DEFAULT_BUDGET, enumerate_upto, is_upward_closed, member
 from .setexpr import parse_expr, render
-from .verdict import Verdict
-
-SCHEMA_VERSION = "divfilters/1"
+from .verdict import SCHEMA_VERSION, Verdict
 
 EXIT_PROVED = 0
 EXIT_REFUTED = 1

@@ -67,8 +67,7 @@ from .setexpr import (
     contains_down,
     render,
 )
-
-SCHEMA_VERSION = "divfilters/1"
+from .verdict import SCHEMA_VERSION
 
 LEMMA_IDS = (
     "L2.1a",

@@ -8,11 +8,20 @@ Proved or UnknownAtBound, never Refuted.
 The structural-rule tables (upward-closedness, infinitude, subset proofs,
 syntactic covers, infinite-antichain rules) are deliberate
 under-approximations: anything off-table degrades to bounded search.
+
+member() is the reference semantics. evaluate_range() gives the same states
+for every m in [1..L] at once, node by node over whole ranges, and backs the
+bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
+back to member() for each m, over the range of that node, in three cases:
+a prodset node, any subtree that contains a Derived node, and any node whose
+range would pass the sieve cap (a quot node reaches L*n, a down node reaches
+the budget).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Optional
 
 from . import arith
@@ -40,6 +49,7 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
+    contains_derived,
 )
 from .verdict import (
     Verdict,
@@ -55,19 +65,19 @@ DEFAULT_BUDGET = 10**4
 
 
 def _iroot(m: int, n: int) -> int:
-    """Largest x with x**n <= m."""
-    if n == 1:
+    """Largest x with x**n <= m, in integer arithmetic for every size of m."""
+    if n == 1 or m < 2:
         return m
     if n == 2:
-        import math
-
         return math.isqrt(m)
-    x = int(round(m ** (1.0 / n)))
-    while x > 1 and x**n > m:
-        x -= 1
-    while (x + 1) ** n <= m:
-        x += 1
-    return x
+    # Newton's iteration from 2**ceil(bits/n), which is above the root,
+    # decreases strictly until it reaches the floor of the root
+    x = 1 << -(-m.bit_length() // n)
+    while True:
+        y = ((n - 1) * x + m // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def _is_factorial(m: int) -> Optional[int]:
@@ -286,6 +296,149 @@ def _prodset_backtrack(args: tuple[SetExpr, ...], m: int, budget: int) -> Verdic
     return unknown(budget) if saw_unknown else refuted(budget)
 
 
+# --- whole-range evaluation ----------------------------------------------------
+
+def evaluate_range(
+    e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET
+) -> tuple[bytearray, bytearray]:
+    """The states of member(e, m, budget) for every m in [1..limit] at once.
+
+    Returns (proved, unknown): two bytearrays of length limit + 1 whose byte
+    m is 1 when m is Proved, resp. UnknownAtBound; every other m is Refuted.
+    Byte 0 is always 0.
+    """
+    if budget < 1:
+        raise PreconditionError("budget must be >= 1")
+    if limit < 0:
+        raise PreconditionError("range limit must be >= 0")
+    return _range(e, limit, budget)
+
+
+def _bits(a: bytearray) -> int:
+    return int.from_bytes(a, "little")
+
+
+def _bytes(x: int, limit: int) -> bytearray:
+    return bytearray(x.to_bytes(limit + 1, "little"))
+
+
+def _ones(limit: int) -> int:
+    """The bit pattern of a bytearray with byte m == 1 for 1 <= m <= limit."""
+    return _bits(b"\0" + b"\1" * limit)
+
+
+def _multiples(sources: bytearray, covered: Optional[bytearray] = None) -> bytearray:
+    """Every multiple of each d with sources[d] == 1. A d whose multiples
+    are all marked already, or all lie in `covered`, is skipped."""
+    limit = len(sources) - 1
+    out = bytearray(limit + 1)
+    d = sources.find(1)
+    while d != -1:
+        if not (out[d] or (covered is not None and covered[d])):
+            out[d::d] = b"\1" * (limit // d)
+        d = sources.find(1, d + 1)
+    return out
+
+
+def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
+    proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
+    for m in range(1, limit + 1):
+        v = _member(e, m, budget)
+        if v.proved:
+            proved_[m] = 1
+        elif v.unknown:
+            unknown_[m] = 1
+    return proved_, unknown_
+
+
+def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
+    # the fallback rule of the module docstring
+    reach = limit
+    if isinstance(e, Down):
+        reach = max(limit, budget)
+    elif isinstance(e, Quot):
+        reach = limit * e.n
+    if reach > arith.DEFAULT_SIEVE_CAP or isinstance(e, ProdSet) or contains_derived(e):
+        return _pointwise_range(e, limit, budget)
+    proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
+    if limit == 0 or isinstance(e, Empty):
+        return proved_, unknown_
+    if isinstance(e, Mult):
+        proved_[e.n :: e.n] = b"\1" * (limit // e.n)
+    elif isinstance(e, Lit):
+        for x in e.elements:
+            if x <= limit:
+                proved_[x] = 1
+    elif isinstance(e, Nat):
+        proved_[1:] = b"\1" * limit
+    elif isinstance(e, (Primes, PrimesIdx, PrimesGeom)):
+        primes = arith.primes_upto(limit)
+        if isinstance(e, PrimesIdx):
+            primes = primes[e.r - 1 :: e.m]
+        elif isinstance(e, PrimesGeom):
+            picked, idx = [], e.c
+            while idx <= len(primes):
+                picked.append(primes[idx - 1])
+                idx *= e.q
+            primes = picked
+        for p in primes:
+            proved_[p] = 1
+    elif isinstance(e, Level):
+        table = arith.omega_table(limit)
+        proved_ = table.translate(bytes(int(v == e.n) for v in range(256)))
+        proved_[0] = 0
+    elif isinstance(e, Factorials):
+        f, k = 1, 1
+        while f <= limit:
+            proved_[f] = 1
+            k += 1
+            f *= k
+    elif isinstance(e, Up):
+        inner_p, inner_u = _range(e.inner, limit, budget)
+        proved_ = _multiples(inner_p)
+        unknown_ = _bytes(_bits(_multiples(inner_u, proved_)) & ~_bits(proved_), limit)
+    elif isinstance(e, Down):
+        inner_p, _ = _range(e.inner, budget, budget)
+        for m in range(1, min(limit, budget) + 1):
+            if 1 in inner_p[m::m]:
+                proved_[m] = 1
+        # the search space is unbounded above; finiteness cannot be refuted
+        unknown_ = _bytes(_ones(limit) & ~_bits(proved_), limit)
+    elif isinstance(e, Quot):
+        inner_p, inner_u = _range(e.inner, limit * e.n, budget)
+        proved_[1:] = inner_p[e.n :: e.n]
+        unknown_[1:] = inner_u[e.n :: e.n]
+    elif isinstance(e, Scale):
+        inner_p, inner_u = _range(e.inner, limit // e.n, budget)
+        proved_[e.n :: e.n] = inner_p[1:]
+        unknown_[e.n :: e.n] = inner_u[1:]
+    elif isinstance(e, Comp):
+        inner_p, inner_u = _range(e.inner, limit, budget)
+        proved_ = _bytes(_ones(limit) & ~(_bits(inner_p) | _bits(inner_u)), limit)
+        unknown_ = inner_u
+    elif isinstance(e, (Union, Inter)):
+        lp, lu = map(_bits, _range(e.left, limit, budget))
+        rp, ru = map(_bits, _range(e.right, limit, budget))
+        if isinstance(e, Union):
+            # Proved if either side is; Refuted only if both sides are
+            p = lp | rp
+            u = (lu | ru) & ~p
+        else:
+            # Refuted if either side is; Proved only if both sides are
+            p = lp & rp
+            u = (lu | ru) & (lp | lu) & (rp | ru)
+        proved_, unknown_ = _bytes(p, limit), _bytes(u, limit)
+    elif isinstance(e, PowSet):
+        root = _iroot(limit, e.n)
+        base_p, base_u = _range(e.base, root, budget)
+        for x in range(1, root + 1):
+            proved_[x**e.n] = base_p[x]
+            unknown_[x**e.n] = base_u[x]
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    return proved_, unknown_
+
+
 def enumerate_upto(
     e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[list[int], bool]:
@@ -295,15 +448,8 @@ def enumerate_upto(
     """
     if limit > budget:
         raise PreconditionError("enumeration limit must not exceed the budget")
-    members: list[int] = []
-    complete = True
-    for m in range(1, limit + 1):
-        v = _member(e, m, budget)
-        if v.proved:
-            members.append(m)
-        elif v.unknown:
-            complete = False
-    return members, complete
+    proved_, unknown_ = _range(e, max(limit, 0), budget)
+    return list(compress(range(len(proved_)), proved_)), 1 not in unknown_
 
 
 # --- upward closedness ------------------------------------------------------
@@ -322,15 +468,26 @@ def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Is the denoted set closed under taking multiples?"""
     if _structurally_up_closed(e):
         return proved(budget, "structural")
-    for m in range(1, budget + 1):
-        if not _member(e, m, budget).proved:
-            continue
-        k = 2
-        while k * m <= budget:
-            if _member(e, k * m, budget).refuted:
-                return refuted(budget, (m, k * m))
-            k += 1
-    return unknown(budget)
+    # The certificate is the first pair (m, km) in m-then-k order. Windows
+    # [1..w] grow fourfold up to the budget. A pair whose m is the least
+    # Proved member is final in any window; any other pair only in the
+    # whole range, where a smaller m may have a refuted multiple past w.
+    scan = max(budget, 0)
+    window = min(64, scan)
+    while True:
+        proved_, unknown_ = _range(e, window, budget)
+        refuted_ = _bytes(_ones(window) & ~(_bits(proved_) | _bits(unknown_)), window)
+        least = m = proved_.find(1)
+        while m != -1:
+            i = refuted_[2 * m :: m].find(1)
+            if i != -1:
+                if window == scan or m == least:
+                    return refuted(budget, (m, (i + 2) * m))
+                break
+            m = proved_.find(1, m + 1)
+        if window == scan:
+            return unknown(budget)
+        window = min(4 * window, scan)
 
 
 # --- infinitude -------------------------------------------------------------
@@ -376,8 +533,7 @@ def is_infinite(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
         return proved(budget, "structural")
     if _structurally_finite(e):
         return refuted(budget, "structural")
-    count = sum(1 for m in range(1, budget + 1) if _member(e, m, budget).proved)
-    return unknown(budget, count)
+    return unknown(budget, _range(e, max(budget, 0), budget)[0].count(1))
 
 
 # --- Up(B)/m case rule for finite prime B ------------------------------------

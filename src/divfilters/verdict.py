@@ -9,6 +9,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import Any
 
+# version tag of every JSON payload: CLI output and harness reports
+SCHEMA_VERSION = "divfilters/1"
+
 
 class ProofState(Enum):
     PROVED = "proved"

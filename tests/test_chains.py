@@ -8,11 +8,13 @@ from divfilters.chains import (
     max_approx,
     verify_chain,
 )
-from divfilters.errors import PreconditionError
+from divfilters import chains
+from divfilters.errors import FilterConstructionError, PreconditionError
 from divfilters.filters import divides_tilde, principal
 from divfilters.antichain import is_n_free
 from divfilters.semantics import enumerate_upto
-from divfilters.setexpr import PrimesIdx, ProdSet, parse_expr
+from divfilters.setexpr import Lit, PrimesGeom, PrimesIdx, ProdSet, Union, parse_expr
+from divfilters.verdict import unknown
 
 BUDGET = 10**4
 
@@ -110,3 +112,23 @@ def test_chain_spec_serializes():
     payload = chain.to_json()
     assert payload["k"] == 2 and payload["scheme"] == "residue"
     assert len(payload["links"]) == 3
+
+
+def test_omission_witness_inside_target_is_not_proved():
+    # 1 lies in the second member, so its upward closure is all of N and
+    # every avoiding product meets it; that shows an overlap, not inclusion
+    family = [
+        Union(Lit(frozenset({2})), PrimesGeom(2, 2)),
+        Union(Lit(frozenset({1})), PrimesGeom(3, 2)),
+    ]
+    chain = build_chain(2, family=family)
+    report = verify_chain(chain, 1000, BUDGET)
+    pair = next(p for p in report.pairs if (p.beta, p.alpha) == (1, 1))
+    assert pair.verdict.unknown and pair.verdict.certificate == 2
+    assert not pair.ok and not report.passed
+
+
+def test_max_approx_rejects_unverified_witness(monkeypatch):
+    monkeypatch.setattr(chains, "member", lambda e, m, budget: unknown(budget))
+    with pytest.raises(FilterConstructionError):
+        max_approx(3)

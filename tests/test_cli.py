@@ -101,3 +101,11 @@ def test_failed_case_replay_reproduces_verdict(capsys):
         code = run_query(case.replay)
         capsys.readouterr()
         assert code == 2  # the violating (non-Proved) verdict replays
+
+
+def test_member_of_huge_power_is_refuted_with_payload(capsys):
+    code, out, _ = run(capsys, ["member", "pow(P,3)", str(10**400 + 1), "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["state"] == "refuted"
+    assert payload["m"] == 10**400 + 1

@@ -5,6 +5,7 @@ from oracle import oracle_set
 from divfilters import load_corpus
 from divfilters.errors import PreconditionError
 from divfilters.semantics import (
+    _iroot,
     enumerate_upto,
     is_infinite,
     is_upward_closed,
@@ -156,3 +157,18 @@ def test_structural_subset_is_sound():
         truth_a = oracle_set(a, 300)
         truth_b = oracle_set(b, 300)
         assert truth_a <= truth_b
+
+
+def test_iroot_is_exact_for_huge_values():
+    m = 10**400 + 1
+    x = _iroot(m, 3)
+    assert x**3 <= m < (x + 1) ** 3
+    assert _iroot(10**399, 3) == 10**133
+    for n in (2, 3, 5, 7, 64):
+        for base in (1, 2, 3, 10**50 + 7):
+            for value in (base**n - 1, base**n, base**n + 1):
+                if value >= 1:
+                    root = _iroot(value, n)
+                    assert root**n <= value < (root + 1) ** n
+    assert member(parse_expr("pow(P,3)"), m, BUDGET).refuted
+    assert member(parse_expr("pow(P,3)"), 1000003**3, BUDGET).proved

@@ -4,51 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_set
+from strategies import exprs
 
 from divfilters.antichain import max_strong_antichain
 from divfilters.semantics import member, simplify
-from divfilters.setexpr import (
-    Comp,
-    Inter,
-    Lit,
-    Mult,
-    Level,
-    Primes,
-    PrimesIdx,
-    Quot,
-    Scale,
-    Union,
-    Up,
-    parse_expr,
-    render,
-)
+from divfilters.setexpr import Quot, Up, parse_expr, render
 
 BUDGET = 10**4
-
-_atoms = st.one_of(
-    st.builds(Mult, st.integers(1, 30)),
-    st.builds(Level, st.integers(1, 4)),
-    st.just(Primes()),
-    st.builds(
-        Lit,
-        st.frozensets(st.integers(1, 60), min_size=1, max_size=5),
-    ),
-    st.builds(lambda r: PrimesIdx(r, 3), st.integers(1, 3)),
-)
-
-
-def _combine(children):
-    return st.one_of(
-        st.builds(Union, children, children),
-        st.builds(Inter, children, children),
-        st.builds(Comp, children),
-        st.builds(Up, children),
-        st.builds(Quot, children, st.integers(1, 6)),
-        st.builds(Scale, children, st.integers(1, 6)),
-    )
-
-
-exprs = st.recursive(_atoms, _combine, max_leaves=4)
 
 
 @given(exprs, st.integers(1, 400))
