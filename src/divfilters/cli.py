@@ -2,7 +2,8 @@
 
 Exit codes map the three-valued verdict so shell pipelines can branch on
 proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 = UnknownAtBound,
-64 = usage error.
+64 = usage error, 70 = internal error (a crash, with its traceback on
+stderr). A crash never exits 0, 1 or 2.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ EXIT_PROVED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 GRAMMAR_HINT = (
     "expressions: N | P | empty | factorials | {n,...} | mult(n) | level(n) "
@@ -303,6 +305,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DivfiltersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    except Exception as exc:
+        # any other exception is a fault of the program, not a verdict;
+        # the hook prints it as the interpreter prints an uncaught one
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

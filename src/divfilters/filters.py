@@ -38,8 +38,10 @@ from .setexpr import (
     PrimesGeom,
     PrimesIdx,
     ProdSet,
+    Quot,
     Scale,
     SetExpr,
+    Union,
     Up,
     parse_expr,
     render,
@@ -249,8 +251,6 @@ def product_member(
 
 
 def Quot_of(e: SetExpr, n: int) -> SetExpr:
-    from .setexpr import Quot
-
     return e if n == 1 else Quot(e, n)
 
 
@@ -330,15 +330,13 @@ def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:
 def _explicit_finite_elements(e: SetExpr) -> Optional[frozenset[int]]:
     if isinstance(e, Lit):
         return e.elements
-    from .setexpr import Union as U_, Inter as I_
-
-    if isinstance(e, U_):
+    if isinstance(e, Union):
         left = _explicit_finite_elements(e.left)
         right = _explicit_finite_elements(e.right)
         if left is not None and right is not None:
             return left | right
         return None
-    if isinstance(e, I_):
+    if isinstance(e, Inter):
         left = _explicit_finite_elements(e.left)
         right = _explicit_finite_elements(e.right)
         if left is not None and right is not None:

@@ -223,15 +223,17 @@ def _brute_refutation(f_members: list[int], g_members: list[int],
     """Truncated unfolding of the product definition for a prime-up target:
     a pair (n, b) with n in core(F), b in core(G), n*b <= bound and n*b
     divisible by no prime of B refutes membership of Up(B) in F.G.
-    Returns the first such pair or None."""
-    primes = sorted(b_set)
+    Returns the first such pair or None.
+
+    B is a set of distinct primes, so n*b is divisible by none of them
+    exactly when it is coprime to their product."""
+    radical = math.prod(b_set)
     for n in f_members[:40]:
         cap = bound // n
         for b in g_members:
             if b > cap:
                 break
-            x = n * b
-            if all(x % p for p in primes):
+            if math.gcd(n * b, radical) == 1:
                 return (n, b)
     return None
 

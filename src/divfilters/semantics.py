@@ -9,6 +9,15 @@ The structural-rule tables (upward-closedness, infinitude, subset proofs,
 syntactic covers, infinite-antichain rules) are deliberate
 under-approximations: anything off-table degrades to bounded search.
 
+_member() dispatches on the exact class of the node: one lookup of type(e)
+in the _HANDLERS table gives the private handler for that class, and a class
+with no entry raises TypeError. A handler evaluates a child only through the
+module-level name _member, never by calling another handler, so a wrapper
+installed on that name (a tracer, a counter) sees every evaluation. To add a
+node class: define it in setexpr (a final class, never subclassed, since the
+lookup is by exact type), write a handler _member_<name>(e, m, budget) that
+builds a fresh Verdict, and add the pair to _HANDLERS.
+
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges, and backs the
 bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
@@ -52,6 +61,7 @@ from .setexpr import (
     contains_derived,
 )
 from .verdict import (
+    ProofState,
     Verdict,
     proved,
     refuted,
@@ -123,94 +133,148 @@ def member(e: SetExpr, m: int, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 
 def _member(e: SetExpr, m: int, budget: int) -> Verdict:
-    if isinstance(e, Mult):
-        return proved(budget) if m % e.n == 0 else refuted(budget)
-    if isinstance(e, Lit):
-        return proved(budget) if m in e.elements else refuted(budget)
-    if isinstance(e, Nat):
-        return proved(budget)
-    if isinstance(e, Empty):
-        return refuted(budget)
-    if isinstance(e, Primes):
-        return proved(budget) if arith.is_prime(m) else refuted(budget)
-    if isinstance(e, Level):
-        return proved(budget) if arith.omega(m) == e.n else refuted(budget)
-    if isinstance(e, PrimesIdx):
-        if not arith.is_prime(m):
-            return refuted(budget)
-        idx = arith.prime_index(m)
-        return proved(budget, idx) if (idx - e.r) % e.m == 0 else refuted(budget)
-    if isinstance(e, PrimesGeom):
-        if not arith.is_prime(m):
-            return refuted(budget)
-        idx = arith.prime_index(m)
-        if idx % e.c != 0:
-            return refuted(budget)
-        v = idx // e.c
-        while v % e.q == 0:
-            v //= e.q
-        return proved(budget, idx) if v == 1 else refuted(budget)
-    if isinstance(e, Factorials):
-        k = _is_factorial(m)
-        return proved(budget, k) if k is not None else refuted(budget)
-    if isinstance(e, Up):
-        inner = e.inner
-        # common fast shapes: finite generator set / principal generator
-        if isinstance(inner, Lit):
-            for s in sorted(inner.elements):
-                if m % s == 0:
-                    return proved(budget, s)
-            return refuted(budget)
-        if isinstance(inner, Mult):
-            return proved(budget, inner.n) if m % inner.n == 0 else refuted(budget)
-        saw_unknown = False
-        for d in arith.divisors(m):
-            v = _member(inner, d, budget)
-            if v.proved:
-                return proved(budget, d)
-            if v.unknown:
-                saw_unknown = True
-        return unknown(budget) if saw_unknown else refuted(budget)
-    if isinstance(e, Down):
-        k = 1
-        while k * m <= budget:
-            v = _member(e.inner, k * m, budget)
-            if v.proved:
-                return proved(budget, k * m)
-            k += 1
-        # the search space is unbounded above; finiteness cannot be refuted
-        return unknown(budget)
-    if isinstance(e, Quot):
-        return _member(e.inner, m * e.n, budget)
-    if isinstance(e, Scale):
-        if m % e.n != 0:
-            return refuted(budget)
-        return _member(e.inner, m // e.n, budget)
-    if isinstance(e, Comp):
-        return three_valued_not(_member(e.inner, m, budget))
-    if isinstance(e, Union):
-        left = _member(e.left, m, budget)
-        if left.proved:
-            return left
-        return three_valued_or(left, _member(e.right, m, budget))
-    if isinstance(e, Inter):
-        left = _member(e.left, m, budget)
-        if left.refuted:
-            return left
-        return three_valued_and(left, _member(e.right, m, budget))
-    if isinstance(e, PowSet):
-        x = _iroot(m, e.n)
-        if x**e.n != m:
-            return refuted(budget)
-        v = _member(e.base, x, budget)
-        if v.proved:
-            return proved(budget, x)
-        return v
-    if isinstance(e, ProdSet):
-        return _prodset_member(e, m, budget)
-    if isinstance(e, Derived):
-        return e.fn(m, budget)
-    raise TypeError(f"unknown node {e!r}")
+    try:
+        handler = _HANDLERS[type(e)]
+    except KeyError:
+        raise TypeError(f"unknown node {e!r}") from None
+    return handler(e, m, budget)
+
+
+# One handler per node class, reached only through _member (see the module
+# docstring). Verdicts are mutable, so each handler builds a new one.
+
+_PROVED = ProofState.PROVED
+_REFUTED = ProofState.REFUTED
+_UNKNOWN = ProofState.UNKNOWN
+
+
+def _member_mult(e: Mult, m: int, budget: int) -> Verdict:
+    return Verdict(_PROVED if m % e.n == 0 else _REFUTED, budget)
+
+
+def _member_lit(e: Lit, m: int, budget: int) -> Verdict:
+    return Verdict(_PROVED if m in e.elements else _REFUTED, budget)
+
+
+def _member_nat(e: Nat, m: int, budget: int) -> Verdict:
+    return Verdict(_PROVED, budget)
+
+
+def _member_empty(e: Empty, m: int, budget: int) -> Verdict:
+    return Verdict(_REFUTED, budget)
+
+
+def _member_primes(e: Primes, m: int, budget: int) -> Verdict:
+    return Verdict(_PROVED if arith.is_prime(m) else _REFUTED, budget)
+
+
+def _member_level(e: Level, m: int, budget: int) -> Verdict:
+    return Verdict(_PROVED if arith.omega(m) == e.n else _REFUTED, budget)
+
+
+def _member_primes_idx(e: PrimesIdx, m: int, budget: int) -> Verdict:
+    if not arith.is_prime(m):
+        return Verdict(_REFUTED, budget)
+    idx = arith.prime_index(m)
+    if (idx - e.r) % e.m == 0:
+        return Verdict(_PROVED, budget, idx)
+    return Verdict(_REFUTED, budget)
+
+
+def _member_primes_geom(e: PrimesGeom, m: int, budget: int) -> Verdict:
+    if not arith.is_prime(m):
+        return Verdict(_REFUTED, budget)
+    idx = arith.prime_index(m)
+    if idx % e.c != 0:
+        return Verdict(_REFUTED, budget)
+    v = idx // e.c
+    while v % e.q == 0:
+        v //= e.q
+    return Verdict(_PROVED, budget, idx) if v == 1 else Verdict(_REFUTED, budget)
+
+
+def _member_factorials(e: Factorials, m: int, budget: int) -> Verdict:
+    k = _is_factorial(m)
+    return Verdict(_PROVED, budget, k) if k is not None else Verdict(_REFUTED, budget)
+
+
+def _member_up(e: Up, m: int, budget: int) -> Verdict:
+    inner = e.inner
+    # common fast shapes: finite generator set / principal generator
+    if type(inner) is Lit:
+        elements = inner.elements
+        if len(elements) == 1:
+            (s,) = elements
+            if m % s == 0:
+                return Verdict(_PROVED, budget, s)
+            return Verdict(_REFUTED, budget)
+        for s in sorted(elements):
+            if m % s == 0:
+                return Verdict(_PROVED, budget, s)
+        return Verdict(_REFUTED, budget)
+    if type(inner) is Mult:
+        n = inner.n
+        return Verdict(_PROVED, budget, n) if m % n == 0 else Verdict(_REFUTED, budget)
+    saw_unknown = False
+    for d in arith.divisors(m):
+        state = _member(inner, d, budget).state
+        if state is _PROVED:
+            return Verdict(_PROVED, budget, d)
+        if state is _UNKNOWN:
+            saw_unknown = True
+    return Verdict(_UNKNOWN if saw_unknown else _REFUTED, budget)
+
+
+def _member_down(e: Down, m: int, budget: int) -> Verdict:
+    k = 1
+    while k * m <= budget:
+        if _member(e.inner, k * m, budget).state is _PROVED:
+            return Verdict(_PROVED, budget, k * m)
+        k += 1
+    # the search space is unbounded above; finiteness cannot be refuted
+    return Verdict(_UNKNOWN, budget)
+
+
+def _member_quot(e: Quot, m: int, budget: int) -> Verdict:
+    return _member(e.inner, m * e.n, budget)
+
+
+def _member_scale(e: Scale, m: int, budget: int) -> Verdict:
+    if m % e.n != 0:
+        return Verdict(_REFUTED, budget)
+    return _member(e.inner, m // e.n, budget)
+
+
+def _member_comp(e: Comp, m: int, budget: int) -> Verdict:
+    return three_valued_not(_member(e.inner, m, budget))
+
+
+def _member_union(e: Union, m: int, budget: int) -> Verdict:
+    left = _member(e.left, m, budget)
+    if left.state is _PROVED:
+        return left
+    return three_valued_or(left, _member(e.right, m, budget))
+
+
+def _member_inter(e: Inter, m: int, budget: int) -> Verdict:
+    left = _member(e.left, m, budget)
+    if left.state is _REFUTED:
+        return left
+    return three_valued_and(left, _member(e.right, m, budget))
+
+
+def _member_pow(e: PowSet, m: int, budget: int) -> Verdict:
+    x = _iroot(m, e.n)
+    if x**e.n != m:
+        return Verdict(_REFUTED, budget)
+    v = _member(e.base, x, budget)
+    if v.state is _PROVED:
+        return Verdict(_PROVED, budget, x)
+    return v
+
+
+def _member_derived(e: Derived, m: int, budget: int) -> Verdict:
+    return e.fn(m, budget)
 
 
 def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
@@ -294,6 +358,29 @@ def _prodset_backtrack(args: tuple[SetExpr, ...], m: int, budget: int) -> Verdic
     if witness is not None:
         return proved(budget, witness)
     return unknown(budget) if saw_unknown else refuted(budget)
+
+
+_HANDLERS = {
+    Mult: _member_mult,
+    Lit: _member_lit,
+    Nat: _member_nat,
+    Empty: _member_empty,
+    Primes: _member_primes,
+    Level: _member_level,
+    PrimesIdx: _member_primes_idx,
+    PrimesGeom: _member_primes_geom,
+    Factorials: _member_factorials,
+    Up: _member_up,
+    Down: _member_down,
+    Quot: _member_quot,
+    Scale: _member_scale,
+    Comp: _member_comp,
+    Union: _member_union,
+    Inter: _member_inter,
+    PowSet: _member_pow,
+    ProdSet: _prodset_member,
+    Derived: _member_derived,
+}
 
 
 # --- whole-range evaluation ----------------------------------------------------

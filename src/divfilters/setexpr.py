@@ -17,6 +17,11 @@ by the tree-scheme almost-disjoint families; everything else follows the
 standard vocabulary.
 
 Expressions are immutable; structural equality is syntactic only.
+
+The parser accepts nesting up to MAX_DEPTH levels, as counted by depth():
+the evaluators and structural rules recurse once or twice per level, and a
+deeper input is rejected with a ParseError before it can exhaust the
+interpreter's stack.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ParseError, PreconditionError
+
+MAX_DEPTH = 200
 
 
 class SetExpr:
@@ -302,6 +309,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -343,6 +351,15 @@ class _Parser:
         return self.text[start : self.pos]
 
     def expr(self) -> SetExpr:
+        if self.depth == MAX_DEPTH:
+            raise self.error(f"expression nested deeper than {MAX_DEPTH} levels")
+        self.depth += 1
+        try:
+            return self._node()
+        finally:
+            self.depth -= 1
+
+    def _node(self) -> SetExpr:
         self.skip_ws()
         if self.peek() == "{":
             self.expect("{")

@@ -1,5 +1,6 @@
 import json
 
+from divfilters import cli
 from divfilters.cli import main, run_query
 from divfilters.harness import HarnessParams, run_harness
 
@@ -109,3 +110,22 @@ def test_member_of_huge_power_is_refuted_with_payload(capsys):
     payload = json.loads(out)
     assert payload["state"] == "refuted"
     assert payload["m"] == 10**400 + 1
+
+
+def test_nesting_past_the_parser_limit_exits_64(capsys):
+    text = "comp(" * 1200 + "N" + ")" * 1200
+    code, out, err = run(capsys, ["member", text, "3", "--json"])
+    assert code == 64
+    assert out == ""
+    assert "nested deeper than" in err
+
+
+def test_crash_exits_70_with_traceback(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "member", crash)
+    code, out, err = run(capsys, ["member", "mult(6)", "18", "--json"])
+    assert code == cli.EXIT_INTERNAL == 70
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: injected fault" in err

@@ -1,0 +1,92 @@
+"""The evaluator's dispatch table and the harness's L2.1b refutation check,
+each against the code it replaced, kept here as the reference."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from divfilters import arith
+from divfilters.harness import _brute_refutation, _sample_prime_sets
+from divfilters.semantics import _HANDLERS, enumerate_upto, member
+from divfilters.setexpr import PrimesIdx, SetExpr, Up
+
+BUDGET = 10**4
+
+
+def _node_classes() -> set[type]:
+    found, stack = set(), [SetExpr]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return found
+
+
+def test_every_node_class_has_a_handler():
+    assert set(_HANDLERS) == _node_classes()
+    assert len(_HANDLERS) == 19
+
+
+def test_node_classes_are_final():
+    # lookup by type(e) finds exactly the class an isinstance chain would
+    for cls in _node_classes():
+        assert cls.__subclasses__() == [], cls
+
+
+def test_unknown_node_raises_type_error():
+    class Stranger:
+        pass
+
+    with pytest.raises(TypeError, match="unknown node"):
+        member(Stranger(), 6)
+    with pytest.raises(TypeError, match="unknown node"):
+        member(Up(Stranger()), 6)
+
+
+def _reference_refutation(f_members, g_members, b_set, bound):
+    """The scan _brute_refutation replaced: test each prime of B in turn."""
+    primes = sorted(b_set)
+    for n in f_members[:40]:
+        cap = bound // n
+        for b in g_members:
+            if b > cap:
+                break
+            x = n * b
+            if all(x % p for p in primes):
+                return (n, b)
+    return None
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_brute_refutation_on_seeded_l21b_inputs(seed):
+    # the cores and prime sets _suite_l21b draws at this seed, at its default
+    # bound; the first four of its twenty filter pairs keep the test short
+    bound = 10**5
+    rng = random.Random(seed)
+    cores = [(Up(PrimesIdx(rng.randint(1, 3), 3)), Up(PrimesIdx(rng.randint(1, 4), 4)))
+             for _ in range(20)]
+    prime_sets = _sample_prime_sets(rng, 20)
+    for f_core, g_core in cores[:4]:
+        f_members = enumerate_upto(f_core, 400, BUDGET)[0]
+        g_members = enumerate_upto(g_core, bound // 2, bound // 2)[0]
+        for b_set in prime_sets:
+            assert _brute_refutation(f_members, g_members, b_set, bound) == \
+                _reference_refutation(f_members, g_members, b_set, bound)
+
+
+_sorted_lists = st.lists(st.integers(1, 3000), max_size=60).map(sorted)
+
+
+@given(
+    st.frozensets(st.sampled_from(arith.primes_upto(50)), min_size=1, max_size=6),
+    _sorted_lists,
+    _sorted_lists,
+    st.integers(1, 10**5),
+)
+@settings(max_examples=200, deadline=None)
+def test_brute_refutation_on_random_prime_sets(b_set, f_members, g_members, bound):
+    assert _brute_refutation(f_members, g_members, b_set, bound) == \
+        _reference_refutation(f_members, g_members, b_set, bound)

@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_set
-from strategies import exprs
+from strategies import exprs, wide_exprs
 
 from divfilters.antichain import max_strong_antichain
+from divfilters.filters import (
+    divides_tilde,
+    filter_member,
+    make_filter,
+    principal,
+    product_member,
+)
 from divfilters.semantics import member, simplify
-from divfilters.setexpr import Quot, Up, parse_expr, render
+from divfilters.setexpr import Lit, Mult, Quot, Up, parse_expr, render
 
 BUDGET = 10**4
 
@@ -73,3 +80,44 @@ def test_budget_monotonicity(e, m):
     hi = member(e, m, BUDGET)
     if lo.decided:
         assert lo.state is hi.state
+
+
+# Filters for the budget-monotonicity properties: principal ones, and ones
+# generated by up to two mult/up sets with small moduli, so that make_filter
+# finds a core member (a common multiple) within its default budget.
+_generators = st.one_of(
+    st.builds(Mult, st.integers(1, 12)),
+    st.builds(lambda s: Up(Lit(s)),
+              st.frozensets(st.integers(2, 12), min_size=1, max_size=2)),
+)
+filters = st.one_of(
+    st.builds(principal, st.integers(1, 60)),
+    st.lists(_generators, min_size=1, max_size=2).map(make_filter),
+)
+# b1 < b2 <= 300
+budget_pairs = st.integers(1, 299).flatmap(
+    lambda b1: st.tuples(st.just(b1), st.integers(b1 + 1, 300)))
+
+
+def _same_if_decided(query, budgets):
+    lo, hi = (query(b) for b in budgets)
+    if lo.decided:
+        assert lo.state is hi.state, (lo, hi)
+
+
+@given(filters, wide_exprs, budget_pairs)
+@settings(max_examples=60, deadline=None)
+def test_filter_member_budget_monotone(f, e, budgets):
+    _same_if_decided(lambda b: filter_member(f, e, b), budgets)
+
+
+@given(filters, filters, budget_pairs)
+@settings(max_examples=60, deadline=None)
+def test_divides_tilde_budget_monotone(f, g, budgets):
+    _same_if_decided(lambda b: divides_tilde(f, g, b), budgets)
+
+
+@given(filters, filters, wide_exprs, budget_pairs)
+@settings(max_examples=40, deadline=None)
+def test_product_member_budget_monotone(f, g, e, budgets):
+    _same_if_decided(lambda b: product_member(f, g, e, b), budgets)

@@ -2,7 +2,9 @@ import pytest
 
 from divfilters import load_corpus
 from divfilters.errors import ParseError
+from divfilters.semantics import evaluate_range, is_upward_closed, member, simplify
 from divfilters.setexpr import (
+    MAX_DEPTH,
     Comp,
     Inter,
     Level,
@@ -66,3 +68,41 @@ def test_node_count_and_depth():
 
 def test_lit_renders_sorted():
     assert render(parse_expr("{9,2,4}")) == "{2,4,9}"
+
+
+def _nested(levels: int, leaf: str = "mult(6)") -> str:
+    """`levels` wrappers, cycling through the unary and binary combinators,
+    around `leaf`: an expression of depth levels + 1."""
+    wraps = [("comp(", ")"), ("union({9},", ")"), ("inter(N,", ")"),
+             ("quot(", ",1)"), ("scale(", ",1)")]
+    text = leaf
+    for i in range(levels):
+        head, tail = wraps[i % len(wraps)]
+        text = head + text + tail
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "comp(" * (MAX_DEPTH - 1) + "N" + ")" * (MAX_DEPTH - 1),
+    _nested(MAX_DEPTH - 1),
+], ids=["comp-chain", "mixed-chain"])
+def test_expression_at_max_depth_is_usable(text):
+    e = parse_expr(text)
+    assert depth(e) == MAX_DEPTH
+    assert render(e) == text
+    states = [member(e, m, 100).state for m in range(1, 31)]
+    proved, unknown = evaluate_range(e, 30, 100)
+    assert [m for m in range(1, 31) if proved[m]] == \
+        [m for m in range(1, 31) if states[m - 1].value == "proved"]
+    assert not any(unknown)
+    is_upward_closed(e, 100)
+    assert [member(simplify(e), m, 100).state for m in range(1, 31)] == states
+
+
+def test_expression_past_max_depth_is_a_parse_error():
+    text = "comp(" * MAX_DEPTH + "N" + ")" * MAX_DEPTH
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert exc.value.position == 5 * MAX_DEPTH
+    with pytest.raises(ParseError):
+        parse_expr("prodset(N," + _nested(MAX_DEPTH - 1) + ")")
