@@ -6,6 +6,23 @@ The exact maximum-antichain solver is a branch-and-bound over the
 coprimality graph; the upper bound partitions candidates into classes that
 share a prime (such a class contributes at most one antichain element).
 
+The exact solver orders candidates by (smallest prime, value), 1 first, and
+searches each candidate in, then out, keeping a set only when it is strictly
+larger than the best so far:
+
+- Witness: the first maximum antichain in that order, i.e. the one whose
+  sorted positions are lexicographically least; the in-first search reaches
+  it before every other maximum, and only a larger set could replace it.
+- Dominance: x is dropped when an earlier candidate y != 1 has
+  supp(y) <= supp(x); swapping x for y keeps an antichain of the same size
+  that comes earlier, so x lies in no first maximum (and greedy, reaching y
+  first, never takes x either).
+- Floor: a second greedy, over each smallest-prime class in descending
+  value, finds h elements, so the search starts from max(greedy, h - 1);
+  both are below the maximum k* unless greedy is a maximum, so no bound
+  prunes the way to the first maximum, and the search stops once the floor
+  meets the class bound of the root.
+
 1 is coprime to everything, so antichains containing 1 are legal; solvers
 report its presence separately in diagnostics.
 """
@@ -87,13 +104,7 @@ def _check_pairwise_coprime(xs) -> None:
                 raise PreconditionError(f"{a} and {b} are not coprime")
 
 
-def _supports(candidates: list[int]) -> list[frozenset[int]]:
-    return [arith.prime_support(x) for x in candidates]
-
-
-def _greedy_antichain(candidates: list[int], supports=None) -> list[int]:
-    if supports is None:
-        supports = _supports(candidates)
+def _greedy_antichain(candidates: list[int], supports: list[frozenset[int]]) -> list[int]:
     used: set[int] = set()
     chosen: list[int] = []
     for x, sup in zip(candidates, supports):
@@ -160,7 +171,7 @@ def max_strong_antichain(
             f"members of {render(e)} up to {limit} contain Unknown verdicts"
         )
     # ascending smallest-prime-factor order keeps exploration deterministic
-    supports = _supports(candidates)
+    supports = [arith.prime_support(x) for x in candidates]
     order = sorted(
         range(len(candidates)),
         key=lambda i: (min(supports[i], default=1), candidates[i]),
@@ -178,29 +189,75 @@ def max_strong_antichain(
     return len(best), cert
 
 
+def _undominated(
+    candidates: list[int], supports: list[frozenset[int]]
+) -> tuple[list[int], list[frozenset[int]]]:
+    """Drop each x that an earlier candidate y != 1 with supp(y) <= supp(x)
+    dominates.
+
+    Such a y shares the smallest prime p of x, so it is found by looking up
+    the products of the subsets of supp(x) that contain p among the radicals
+    of the candidates before x.
+    """
+    radicals: set[int] = set()
+    kept: list[int] = []
+    kept_supports: list[frozenset[int]] = []
+    for x, sup in zip(candidates, supports):
+        if sup:
+            p = min(sup)
+            products = [p]
+            for q in sup - {p}:
+                products += [r * q for r in products]
+            dominated = not radicals.isdisjoint(products)
+            radicals.add(products[-1])  # the radical of x
+            if dominated:
+                continue
+        kept.append(x)
+        kept_supports.append(sup)
+    return kept, kept_supports
+
+
+def _class_greedy(candidates: list[int], supports: list[frozenset[int]]) -> list[int]:
+    """Greedy over the smallest-prime classes in turn, each in descending
+    value; a second lower bound next to the first greedy's."""
+    order = sorted(
+        range(len(candidates)),
+        key=lambda i: (min(supports[i], default=1), -candidates[i]),
+    )
+    return _greedy_antichain(
+        [candidates[i] for i in order], [supports[i] for i in order]
+    )
+
+
 def _exact_antichain(
     candidates: list[int], supports: list[frozenset[int]], greedy: list[int]
 ) -> list[int]:
     if _class_upper_bound(supports) == len(greedy):
         return greedy
+    candidates, supports = _undominated(candidates, supports)
+    root = _class_upper_bound(supports)
+    # a set is kept only when larger than floor, and floor < k* until the
+    # first maximum is reached, so the witness is the same as from floor 0
+    floor = max(len(greedy), len(_class_greedy(candidates, supports)) - 1)
     best = list(greedy)
+    supports_by_value = dict(zip(candidates, supports))
 
     def search(rest: list[int], chosen: list[int]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
+        # tries rest[i] in, then leaves it out and moves on to rest[i + 1]
+        nonlocal best, floor
+        if len(chosen) > floor:
             best = list(chosen)
-        if not rest:
-            return
-        rest_supports = [supports_by_value[x] for x in rest]
-        if len(chosen) + _class_upper_bound(rest_supports) <= len(best):
-            return
-        x = rest[0]
-        sup = supports_by_value[x]
-        included = [y for y in rest[1:] if supports_by_value[y].isdisjoint(sup)]
-        search(included, chosen + [x])
-        search(rest[1:], chosen)
+            floor = len(chosen)
+        for i, x in enumerate(rest):
+            if floor == root or len(chosen) + len(rest) - i <= floor:
+                return
+            tail = [supports_by_value[y] for y in rest[i:]]
+            if len(chosen) + _class_upper_bound(tail) <= floor:
+                return
+            sup = supports_by_value[x]
+            included = [y for y in rest[i + 1 :] if supports_by_value[y].isdisjoint(sup)]
+            search(included, chosen + [x])
 
-    supports_by_value = dict(zip(candidates, supports))
     search(candidates, [])
     return best
 

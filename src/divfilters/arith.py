@@ -202,7 +202,16 @@ def omega_table(n: int) -> bytearray:
 
 def prime_support(m: int) -> frozenset[int]:
     """The set of distinct primes dividing m."""
-    return frozenset(p for p, _ in factorize(m).factors)
+    _check_natural(m)
+    spf = _SIEVE._spf
+    if m >= len(spf):
+        return frozenset(p for p, _ in factorize(m).factors)
+    primes = set()
+    while m > 1:
+        p = spf[m]
+        primes.add(p)
+        m //= p
+    return frozenset(primes)
 
 
 def coprime_lcm(a: int, b: int) -> tuple[int, int, bool]:

@@ -59,6 +59,7 @@ from .setexpr import (
     Union,
     Up,
     contains_derived,
+    contains_down,
 )
 from .verdict import (
     ProofState,
@@ -559,8 +560,10 @@ def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     # [1..w] grow fourfold up to the budget. A pair whose m is the least
     # Proved member is final in any window; any other pair only in the
     # whole range, where a smaller m may have a refuted multiple past w.
+    # A `down` node evaluates its inner set over [1..budget] in any window,
+    # so with one the whole range is scanned at once.
     scan = max(budget, 0)
-    window = min(64, scan)
+    window = scan if contains_down(e) else min(64, scan)
     while True:
         proved_, unknown_ = _range(e, window, budget)
         refuted_ = _bytes(_ones(window) & ~(_bits(proved_) | _bits(unknown_)), window)

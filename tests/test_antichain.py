@@ -2,9 +2,12 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import oracle_set
 
+from divfilters import antichain, arith, load_corpus
 from divfilters.antichain import (
     covering_witness,
     extend_antichain,
@@ -14,7 +17,7 @@ from divfilters.antichain import (
     max_strong_antichain,
 )
 from divfilters.errors import PreconditionError
-from divfilters.semantics import member
+from divfilters.semantics import enumerate_upto, member
 from divfilters.setexpr import Level, Lit, Mult, Union, Up, parse_expr, render
 
 BUDGET = 10**4
@@ -164,3 +167,95 @@ def test_antichain_with_one_reports_presence():
     size, cert = max_strong_antichain(Lit(frozenset({1, 2, 3})), 10, mode="exact")
     assert size == 3
     assert cert.contains_one
+
+
+# --- the pruned exact solver against the one it replaced ------------------------
+
+# exact antichain has no work bound on these two
+UNBOUNDED_ANTICHAIN = ("prodset(P,P)", "up(primesIdx(1,2))")
+
+
+def _reference_exact_antichain(candidates, supports, greedy):
+    if antichain._class_upper_bound(supports) == len(greedy):
+        return greedy
+    best = list(greedy)
+
+    def search(rest, chosen):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if not rest:
+            return
+        rest_supports = [supports_by_value[x] for x in rest]
+        if len(chosen) + antichain._class_upper_bound(rest_supports) <= len(best):
+            return
+        x = rest[0]
+        sup = supports_by_value[x]
+        included = [y for y in rest[1:] if supports_by_value[y].isdisjoint(sup)]
+        search(included, chosen + [x])
+        search(rest[1:], chosen)
+
+    supports_by_value = dict(zip(candidates, supports))
+    search(candidates, [])
+    return best
+
+
+def _solver_order(values):
+    """The candidates and supports in max_strong_antichain's order."""
+    keyed = sorted((min(arith.prime_support(x), default=1), x) for x in values)
+    candidates = [x for _, x in keyed]
+    return candidates, [arith.prime_support(x) for x in candidates]
+
+
+def _witness(solver, values):
+    candidates, supports = _solver_order(values)
+    greedy = antichain._greedy_antichain(candidates, supports)
+    return tuple(sorted(solver(candidates, supports, greedy)))
+
+
+@given(st.sets(st.integers(1, 2000), max_size=120))
+@settings(max_examples=150, deadline=None)
+def test_exact_witness_equals_reference(values):
+    assert _witness(antichain._exact_antichain, values) == _witness(
+        _reference_exact_antichain, values
+    )
+
+
+@given(st.sets(st.integers(1, 2000), max_size=14))
+@settings(max_examples=150, deadline=None)
+def test_exact_size_equals_bruteforce(values):
+    witness = _witness(antichain._exact_antichain, values)
+    assert set(witness) <= values and _pairwise_coprime(witness)
+    assert len(witness) == _brute_max_antichain(sorted(values))
+
+
+@given(st.sets(st.integers(1, 2000), max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_undominated_drops_only_dominated(values):
+    candidates, supports = _solver_order(values)
+    kept, kept_supports = antichain._undominated(candidates, supports)
+    assert kept_supports == [arith.prime_support(x) for x in kept]
+    position = {x: i for i, x in enumerate(candidates)}
+    for x, sup in zip(candidates, supports):
+        dominators = [
+            y for y, ysup in zip(kept, kept_supports)
+            if y != 1 and position[y] < position[x] and ysup <= sup
+        ]
+        # a dropped x has an earlier kept dominator, a kept x has none
+        assert bool(dominators) == (x not in kept), x
+        assert all(min(arith.prime_support(y)) == min(sup) for y in dominators)
+
+
+@pytest.mark.parametrize("limit", [500, 10**4])
+def test_corpus_witnesses_equal_reference(limit, monkeypatch):
+    found = {}
+    for e in load_corpus():
+        if render(e) in UNBOUNDED_ANTICHAIN or not enumerate_upto(e, limit, BUDGET)[1]:
+            continue
+        found[render(e)] = max_strong_antichain(e, limit, budget=BUDGET)
+    monkeypatch.setattr(antichain, "_exact_antichain", _reference_exact_antichain)
+    for e in load_corpus():
+        if render(e) in found:
+            size, cert = max_strong_antichain(e, limit, budget=BUDGET)
+            new_size, new_cert = found[render(e)]
+            assert (new_size, new_cert.witness) == (size, cert.witness), render(e)

@@ -26,6 +26,20 @@ def test_omega_and_prime_support():
     assert arith.prime_support(60) == frozenset({2, 3, 5})
 
 
+def _support_by_factorize(m):
+    return frozenset(p for p, _ in arith.factorize(m).factors)
+
+
+def test_prime_support_equals_factorize():
+    # one value past the sieve cap takes the trial-division path of factorize
+    past_cap = 2**3 * 3 * 1000003
+    assert arith.DEFAULT_SIEVE_CAP < past_cap
+    for m in [*range(1, 10**5 + 1), 10**6 + 3, past_cap]:
+        assert arith.prime_support(m) == _support_by_factorize(m), m
+    with pytest.raises(PreconditionError):
+        arith.prime_support(0)
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(1, 31):

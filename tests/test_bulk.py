@@ -213,6 +213,50 @@ def test_generated_scans_equal_pointwise(e, budget):
     _check_scans(e, budget)
 
 
+def _windowed_upward_closed(e, budget):
+    """is_upward_closed with windows [1..w] growing fourfold up to the budget
+    for every expression, as before expressions with `down` were scanned in
+    one window."""
+    if _structurally_up_closed(e):
+        return proved(budget, "structural")
+    window = min(64, budget)
+    while True:
+        proved_, unknown_ = evaluate_range(e, window, budget)
+        least = m = proved_.find(1)
+        while m != -1:
+            multiples = range(2 * m, window + 1, m)
+            refuted_at = [k for k in multiples if not (proved_[k] or unknown_[k])]
+            if refuted_at:
+                if window == budget or m == least:
+                    return refuted(budget, (m, refuted_at[0]))
+                break
+            m = proved_.find(1, m + 1)
+        if window == budget:
+            return unknown(budget)
+        window = min(4 * window, budget)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "down({120,720})",
+        "down(factorials)",
+        "union(inter(mult(2),comp({9998})),inter({3},down(level(3))))",
+        "union(inter(mult(3),comp({600})),down({120,720}))",
+    ],
+)
+def test_upward_closed_with_down_equals_windowed(text):
+    e = parse_expr(text)
+    for budget in (1, 100, 1000, BUDGET):
+        assert _same_verdict(is_upward_closed(e, budget), _windowed_upward_closed(e, budget))
+
+
+@given(wide_exprs.filter(contains_down), st.integers(1, 500))
+@settings(max_examples=100, deadline=None)
+def test_generated_upward_closed_with_down_equals_windowed(e, budget):
+    assert _same_verdict(is_upward_closed(e, budget), _windowed_upward_closed(e, budget))
+
+
 # --- the one-pass class bound against the recounting one ------------------------
 
 def _reference_class_upper_bound(supports):
