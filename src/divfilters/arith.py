@@ -6,6 +6,17 @@ so 1 sits alone on level 0 of the prime-factor-count hierarchy.
 
 The smallest-prime-factor sieve is grown on demand under a lock; growing it
 is idempotent, so concurrent callers always observe identical results.
+
+The sieve is built by slice assignment, with no Python loop per index. Even
+entries start at 2. Each odd prime p <= sqrt(limit), in descending order,
+writes p over its odd multiples from p*p on; each prime then writes itself.
+An odd composite q with smallest prime factor p has p*p <= q, so p is the
+last prime to write spf[q]. Primality is marked the same way in a bytearray.
+Composite entries all share the few int objects of the primes <= sqrt(limit).
+
+Primality past the sieve cap goes by trial division: the sieved primes up to
+min(sqrt(m), cap) are tried first, and BudgetExceededError is raised only
+when none divides m and sqrt(m) passes the cap.
 """
 
 from __future__ import annotations
@@ -14,12 +25,33 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import BudgetExceededError, PreconditionError
 
 # Values above SIEVE_CAP**2 cannot be factored by trial division over the
 # sieved primes and are rejected with an explicit error.
 DEFAULT_SIEVE_CAP = 10**6
+
+
+def _spf_sieve(limit: int) -> tuple[list[int], list[int]]:
+    """The smallest-prime-factor table of [0..limit] and the ascending list
+    of the primes <= limit, for limit >= 1: spf[0] == 0, spf[1] == 1 and
+    spf[p] == p for every prime p. See the module docstring."""
+    root = math.isqrt(limit)
+    flags = bytearray([1]) * (limit + 1)
+    for p in range(3, root + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = bytes((limit - p * p) // (2 * p) + 1)
+    odd = list(compress(range(3, limit + 1, 2), flags[3::2]))
+    spf = [2, 0] * (limit // 2 + 1)
+    del spf[limit + 1 :]
+    spf[0], spf[1] = 0, 1
+    for p in reversed(odd[: bisect_right(odd, root)]):
+        spf[p * p :: 2 * p] = [p] * ((limit - p * p) // (2 * p) + 1)
+    for p in odd:
+        spf[p] = p
+    return spf, [2, *odd] if limit >= 2 else []
 
 
 class _Sieve:
@@ -47,13 +79,7 @@ class _Sieve:
             while limit < n:
                 limit *= 2
             limit = min(limit, self.cap)
-            spf = list(range(limit + 1))
-            for p in range(2, math.isqrt(limit) + 1):
-                if spf[p] == p:
-                    for q in range(p * p, limit + 1, p):
-                        if spf[q] == q:
-                            spf[q] = p
-            primes = [p for p in range(2, limit + 1) if spf[p] == p]
+            spf, primes = _spf_sieve(limit)
             # publish atomically; readers never see a partial sieve
             self._spf = spf
             self._primes = primes
@@ -83,16 +109,17 @@ class _Sieve:
 
     def _trial_is_prime(self, m: int) -> bool:
         root = math.isqrt(m)
+        bound = min(root, self.cap)
+        self.ensure(bound)
+        for p in self._primes:
+            if p > bound:
+                break
+            if m % p == 0:
+                return False
         if root > self.cap:
             raise BudgetExceededError(
                 f"primality of {m} needs trial division past cap {self.cap}"
             )
-        self.ensure(root)
-        for p in self._primes:
-            if p > root:
-                break
-            if m % p == 0:
-                return False
         return True
 
     def nth_prime(self, i: int) -> int:

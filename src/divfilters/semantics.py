@@ -3,7 +3,9 @@
 member() is exact (never Unknown) for every expression that contains no
 Down node: divisors of m are finitely many, so upward closure is decidable
 whenever the inner set is. Down is an unbounded existential and yields
-Proved or UnknownAtBound, never Refuted.
+Proved or UnknownAtBound, never Refuted, except over a literal set or empty:
+m is in down(F) for finite F exactly when m divides an element of F, and
+that is decided.
 
 The structural-rule tables (upward-closedness, infinitude, subset proofs,
 syntactic covers, infinite-antichain rules) are deliberate
@@ -23,8 +25,8 @@ for every m in [1..L] at once, node by node over whole ranges, and backs the
 bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
 back to member() for each m, over the range of that node, in three cases:
 a prodset node, any subtree that contains a Derived node, and any node whose
-range would pass the sieve cap (a quot node reaches L*n, a down node reaches
-the budget).
+range would pass the sieve cap (a quot node reaches L*n, a down node over
+a set that is not a literal reaches the budget).
 """
 
 from __future__ import annotations
@@ -226,7 +228,22 @@ def _member_up(e: Up, m: int, budget: int) -> Verdict:
     return Verdict(_UNKNOWN if saw_unknown else _REFUTED, budget)
 
 
+def _literal_elements(e: SetExpr) -> Optional[frozenset[int]]:
+    """The elements of a literal set or of empty; None for any other node."""
+    if type(e) is Lit:
+        return e.elements
+    if type(e) is Empty:
+        return frozenset()
+    return None
+
+
 def _member_down(e: Down, m: int, budget: int) -> Verdict:
+    elements = _literal_elements(e.inner)
+    if elements is not None:
+        least = min((x for x in elements if x % m == 0), default=None)
+        if least is None:
+            return Verdict(_REFUTED, budget)
+        return Verdict(_PROVED, budget, least)
     k = 1
     while k * m <= budget:
         if _member(e.inner, k * m, budget).state is _PROVED:
@@ -442,7 +459,7 @@ def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, by
 def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
     # the fallback rule of the module docstring
     reach = limit
-    if isinstance(e, Down):
+    if isinstance(e, Down) and _literal_elements(e.inner) is None:
         reach = max(limit, budget)
     elif isinstance(e, Quot):
         reach = limit * e.n
@@ -486,12 +503,19 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
         proved_ = _multiples(inner_p)
         unknown_ = _bytes(_bits(_multiples(inner_u, proved_)) & ~_bits(proved_), limit)
     elif isinstance(e, Down):
-        inner_p, _ = _range(e.inner, budget, budget)
-        for m in range(1, min(limit, budget) + 1):
-            if 1 in inner_p[m::m]:
-                proved_[m] = 1
-        # the search space is unbounded above; finiteness cannot be refuted
-        unknown_ = _bytes(_ones(limit) & ~_bits(proved_), limit)
+        elements = _literal_elements(e.inner)
+        if elements is not None:
+            # exact: the divisors of the elements, found without factoring
+            for m in range(1, min(limit, max(elements, default=0)) + 1):
+                if any(x % m == 0 for x in elements):
+                    proved_[m] = 1
+        else:
+            inner_p, _ = _range(e.inner, budget, budget)
+            for m in range(1, min(limit, budget) + 1):
+                if 1 in inner_p[m::m]:
+                    proved_[m] = 1
+            # the search space is unbounded above; finiteness cannot be refuted
+            unknown_ = _bytes(_ones(limit) & ~_bits(proved_), limit)
     elif isinstance(e, Quot):
         inner_p, inner_u = _range(e.inner, limit * e.n, budget)
         proved_[1:] = inner_p[e.n :: e.n]
@@ -609,9 +633,10 @@ def _structurally_finite(e: SetExpr) -> bool:
         return _structurally_finite(e.left) and _structurally_finite(e.right)
     if isinstance(e, Inter):
         return _structurally_finite(e.left) or _structurally_finite(e.right)
-    if isinstance(e, (Scale, PowSet, Quot)):
-        inner = e.inner if isinstance(e, (Scale, Quot)) else e.base
-        return _structurally_finite(inner)
+    if isinstance(e, (Scale, Quot, Down)):
+        return _structurally_finite(e.inner)
+    if isinstance(e, PowSet):
+        return _structurally_finite(e.base)
     if isinstance(e, ProdSet):
         return all(_structurally_finite(a) for a in e.args)
     return False

@@ -173,7 +173,8 @@ class Up(SetExpr):
 
 @dataclass(frozen=True, repr=False)
 class Down(SetExpr):
-    """Downward closure: {m : m divides some a in inner}. Semi-decidable."""
+    """Downward closure: {m : m divides some a in inner}. Semi-decidable;
+    decided when inner is a literal set or empty."""
 
     inner: SetExpr
 

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 
 from divfilters import arith
-from divfilters.errors import PreconditionError
+from divfilters.arith import _Sieve, _spf_sieve
+from divfilters.errors import BudgetExceededError, PreconditionError
 
 
 def test_factorize_small_values():
@@ -72,3 +75,44 @@ def test_divisors():
 def test_factorize_rejects_nonpositive():
     with pytest.raises((PreconditionError, ValueError)):
         arith.factorize(0)
+
+
+def _reference_sieve(limit):
+    """The per-index loop the sieve was first built with."""
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    primes = [p for p in range(2, limit + 1) if spf[p] == p]
+    return spf, primes
+
+
+def test_spf_sieve_equals_reference():
+    for limit in [*range(1, 2101), 2**16, 2**16 + 1, 10**5, 10**6]:
+        assert _spf_sieve(limit) == _reference_sieve(limit), limit
+
+
+def test_grown_sieve_equals_sieve_built_at_once():
+    grown, direct = _Sieve(10**6), _Sieve(10**6)
+    for n in (5000, 70000, 300000, 10**6):
+        grown.ensure(n)
+        assert grown.limit >= n
+        assert grown._spf == _spf_sieve(grown.limit)[0]
+    direct.ensure(10**6)
+    assert grown.limit == direct.limit == 10**6
+    assert grown._spf == direct._spf
+    assert grown._primes == direct._primes
+
+
+def test_trial_primality_past_the_cap():
+    sieve = _Sieve(10**6)
+    # 3·7·11·23·29·31·67·83·89: its square root passes the cap, a small prime divides it
+    assert sieve._trial_is_prime(2363972441523) is False
+    with pytest.raises(BudgetExceededError):
+        sieve._trial_is_prime(1000003 * 1000033)
+    assert sieve._trial_is_prime(1000003) is True
+    assert sieve._trial_is_prime(999983 * 999979) is False
+    largest = 10**12 - 11  # the largest prime below cap**2
+    assert sieve._trial_is_prime(largest) is True

@@ -109,10 +109,10 @@ def test_generated_states_equal_oracle(e, limit):
 
 
 def test_mixed_states_through_every_combinator():
-    # at budget 100, down({1000}) is Unknown everywhere, so x and y each mix
-    # all three states: x is Proved at 2 and Unknown at the multiples of 3
-    x = parse_expr("union({2},inter(mult(3),down({1000})))")
-    y = parse_expr("union(mult(5),inter(mult(2),down({1000})))")
+    # at budget 100, down(mult(1000)) is Unknown everywhere, so x and y each
+    # mix all three states: x is Proved at 2 and Unknown at the multiples of 3
+    x = parse_expr("union({2},inter(mult(3),down(mult(1000))))")
+    y = parse_expr("union(mult(5),inter(mult(2),down(mult(1000))))")
     cases = [
         Up(x), Comp(x), Down(x), Quot(x, 2), Scale(x, 2), PowSet(x, 2),
         Union(x, y), Union(y, x), Inter(x, y), Inter(y, x), Up(Union(x, y)),

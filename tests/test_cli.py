@@ -77,6 +77,16 @@ def test_chain_verify(capsys):
     assert json.loads(out)["passed"] is True
 
 
+def test_chain_verify_tree_scheme_passes(capsys):
+    # the tree scheme's products pass the sieve cap; trial division decides them
+    code, out, _ = run(capsys, ["chain-verify", "10", "--scheme", "tree", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert len(payload["pairs"]) == 110
+    assert all(pair["ok"] for pair in payload["pairs"])
+
+
 def test_harness_single_lemma(capsys):
     code, out, _ = run(capsys, ["harness", "E3.5b", "--json"])
     assert code == 0

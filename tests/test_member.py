@@ -7,6 +7,7 @@ from divfilters.errors import PreconditionError
 from divfilters.semantics import (
     _iroot,
     enumerate_upto,
+    evaluate_range,
     is_infinite,
     is_upward_closed,
     member,
@@ -15,6 +16,7 @@ from divfilters.semantics import (
     structurally_subset,
 )
 from divfilters.setexpr import (
+    EMPTY,
     FACTORIALS,
     N,
     Down,
@@ -172,3 +174,30 @@ def test_iroot_is_exact_for_huge_values():
                     assert root**n <= value < (root + 1) ** n
     assert member(parse_expr("pow(P,3)"), m, BUDGET).refuted
     assert member(parse_expr("pow(P,3)"), 1000003**3, BUDGET).proved
+
+
+@pytest.mark.parametrize("budget", [1, 100, 10**4])
+def test_down_of_a_literal_is_decided(budget):
+    e = parse_expr("down({120,720})")
+    proved_, unknown_ = evaluate_range(e, 1000, budget)
+    assert 1 not in unknown_
+    for m in range(1, 1001):
+        v = member(e, m, budget)
+        if 120 % m == 0 or 720 % m == 0:
+            assert v.proved, m
+            assert v.certificate == (120 if 120 % m == 0 else 720), m
+        else:
+            assert v.refuted, m
+        assert proved_[m] == v.proved, m
+    empty = Down(EMPTY)
+    assert all(member(empty, m, budget).refuted for m in range(1, 1001))
+    assert evaluate_range(empty, 1000, budget) == (bytearray(1001), bytearray(1001))
+
+
+def test_down_of_a_finite_set_is_finite():
+    members, complete = enumerate_upto(parse_expr("down({120,720})"), 100, BUDGET)
+    assert complete and members == [m for m in range(1, 101) if 720 % m == 0]
+    for text in ("down({120,720})", "down(empty)", "down(scale({7},3))"):
+        v = is_infinite(parse_expr(text), BUDGET)
+        assert v.refuted and v.certificate == "structural", text
+    assert is_infinite(parse_expr("down(mult(4))"), BUDGET).proved
