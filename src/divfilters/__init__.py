@@ -28,7 +28,6 @@ from .setexpr import (
     N,
     P,
     Comp,
-    Derived,
     Down,
     Empty,
     Factorials,

@@ -6,6 +6,13 @@ all supersets of their intersection, the core). A finitely generated filter
 is fully determined by its core, so tilde-divisibility F |~ G reduces to:
 every element of core(G) has a divisor in core(F), i.e. core(G) <= core(F)^.
 
+The other operations are grammar expressions fed to the same scans. The
+product F*G of generated filters with cores A and B is the filter generated
+by A*B = union(prodset(A,B),pow(inter(A,B),2)). The derived filter D(F)
+holds e exactly when F holds {n : nN <= e} = comp(down(comp(e))), which is
+e itself when e is upward closed. For a principal H at h, the set A_H(e) =
+{m : e/m in H} is quot(e,h).
+
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
 UnknownAtBound where bounded search cannot decide.
@@ -21,14 +28,15 @@ from .errors import FilterConstructionError, ParseError, PreconditionError
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
+    _structurally_up_closed,
     enumerate_upto,
     is_prime_set,
-    is_upward_closed,
     member,
     structurally_subset,
 )
 from .setexpr import (
-    Derived,
+    Comp,
+    Down,
     Inter,
     Lit,
     Mult,
@@ -168,9 +176,13 @@ def parse_filter_spec(text: str, budget: int = DEFAULT_BUDGET) -> FilterPresenta
     text = text.strip()
     if text.startswith("principal:"):
         body = text[len("principal:") :]
-        if not body.isdigit() or int(body) < 1:
+        try:
+            point = int(body) if body.isascii() and body.isdigit() else 0
+        except ValueError:  # more digits than the interpreter converts
+            point = 0
+        if point < 1:
             raise ParseError("principal point must be a natural >= 1", len("principal:"))
-        return principal(int(body))
+        return principal(point)
     if text.startswith("gen:[") and text.endswith("]"):
         body = text[len("gen:[") : -1]
         parts = [p for p in body.split(";") if p.strip()]
@@ -226,10 +238,12 @@ def product_member(
     e: SetExpr,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Membership of e in the product filter F*G.
+    """Membership of e in the product filter F*G = {X : {n : X/n in G} in F}.
 
-    The product of two generated filters need not be finitely generated, so
-    it is never materialized; only membership queries are supported.
+    For generated F and G with cores A and B, X/n is in G exactly when
+    n*B <= X, so X is in F*G exactly when A*B = {ab : a in A, b in B} <= X:
+    the product is the filter generated by A*B. The scan inspects the
+    products up to the budget.
     """
     if f.principal and g.principal:
         return member(e, f.point * g.point, budget)
@@ -243,72 +257,44 @@ def product_member(
         return three_valued_or(
             filter_member(f, e, budget), filter_member(g, e, budget)
         )
-    unfold = Derived(
-        f"product-unfold:{render(e)}",
-        lambda n, b: filter_member(g, Quot_of(e, n), b),
-    )
-    return filter_member(f, unfold, budget)
+    a, b = f.core, g.core
+    # prodset leaves out the products x*x of equal factors; pow puts them back
+    core = Union(ProdSet((a, b)), PowSet(Inter(a, b), 2))
+    return filter_member(FilterPresentation("generated", core, gens=(core,)), e, budget)
 
 
 def Quot_of(e: SetExpr, n: int) -> SetExpr:
     return e if n == 1 else Quot(e, n)
 
 
-def _mult_subset_rule(e: SetExpr, n: int, budget: int) -> Optional[Verdict]:
-    """Decide whether nN is a subset of e, when a rule applies."""
-    if isinstance(e, Mult):
-        if n % e.n == 0:
-            return proved(budget)
-        return refuted(budget, n)
-    if is_upward_closed(e, 1).proved:  # structural check only
-        v = member(e, n, budget)
-        if v.proved:
-            return proved(budget)
-        if v.refuted:
-            return refuted(budget, n)
-    return None
-
-
-def d_set(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Derived:
-    """The set {n : nN <= e}, as a queryable predicate. Always upward
-    closed: shrinking n to a multiple shrinks nN."""
-
-    def fn(n: int, b: int) -> Verdict:
-        ruled = _mult_subset_rule(e, n, b)
-        if ruled is not None:
-            return ruled
-        k = 1
-        saw_unknown = False
-        while k <= max(1, b // n):
-            v = member(e, n * k, b)
-            if v.refuted:
-                return refuted(b, n * k)
-            if v.unknown:
-                saw_unknown = True
-            k += 1
-        return unknown(b)
-
-    return Derived(f"mult-subsets:{render(e)}", fn, upward_closed=True)
+def d_set(e: SetExpr) -> SetExpr:
+    """The set {n : nN <= e}, always upward closed: nN <= e exactly when no
+    multiple of n lies outside e, which is comp(down(comp(e))). For an
+    upward-closed e it is e itself."""
+    if _structurally_up_closed(e):
+        return e
+    return Comp(Down(Comp(e)))
 
 
 def d_member(
     f: FilterPresentation, e: SetExpr, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Membership of e in the derived filter D(F) = {A : {n : nN <= A} in F}."""
-    if is_upward_closed(e, budget).proved and filter_member(f, e, budget).proved:
-        # an upward-closed member of F satisfies nN <= E for each n in E
-        return proved(budget, "upward-closed member")
-    return filter_member(f, d_set(e, budget), budget)
+    return filter_member(f, d_set(e), budget)
 
 
-def a_sub_h(e: SetExpr, h: FilterPresentation, budget: int = DEFAULT_BUDGET) -> Derived:
-    """{m : e/m in H}, as a queryable predicate."""
-    up = is_upward_closed(e, budget).proved
+def a_sub_h(e: SetExpr, h: FilterPresentation) -> SetExpr:
+    """A_H = {m : e/m in H} for a principal H at h, which is quot(e, h).
 
-    def fn(m: int, b: int) -> Verdict:
-        return filter_member(h, Quot_of(e, m), b)
-
-    return Derived(f"quotients-in-filter:{render(e)}", fn, upward_closed=up)
+    For a generated H, A_H(e) is in F exactly when e is in F*H; ask
+    product_member instead.
+    """
+    if not h.principal:
+        raise PreconditionError(
+            "a_sub_h takes a principal filter; for a generated H, "
+            "A_H(e) in F iff e in F*H, which product_member decides"
+        )
+    return Quot_of(e, h.point)
 
 
 def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:

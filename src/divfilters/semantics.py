@@ -23,10 +23,10 @@ builds a fresh Verdict, and add the pair to _HANDLERS.
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges, and backs the
 bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
-back to member() for each m, over the range of that node, in three cases:
-a prodset node, any subtree that contains a Derived node, and any node whose
-range would pass the sieve cap (a quot node reaches L*n, a down node over
-a set that is not a literal reaches the budget).
+back to member() for each m, over the range of that node, in two cases:
+a prodset node, and any node whose range would pass the sieve cap (a quot
+node reaches L*n, a down node over a set that is not a literal reaches the
+budget).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .setexpr import (
     EMPTY as EMPTY_SINGLETON,
     N as NAT_SINGLETON,
     Comp,
-    Derived,
     Down,
     Empty,
     Factorials,
@@ -60,7 +59,6 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
-    contains_derived,
     contains_down,
 )
 from .verdict import (
@@ -291,10 +289,6 @@ def _member_pow(e: PowSet, m: int, budget: int) -> Verdict:
     return v
 
 
-def _member_derived(e: Derived, m: int, budget: int) -> Verdict:
-    return e.fn(m, budget)
-
-
 def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
     args = e.args
     k = len(args)
@@ -397,7 +391,6 @@ _HANDLERS = {
     Inter: _member_inter,
     PowSet: _member_pow,
     ProdSet: _prodset_member,
-    Derived: _member_derived,
 }
 
 
@@ -463,7 +456,7 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
         reach = max(limit, budget)
     elif isinstance(e, Quot):
         reach = limit * e.n
-    if reach > arith.DEFAULT_SIEVE_CAP or isinstance(e, ProdSet) or contains_derived(e):
+    if reach > arith.DEFAULT_SIEVE_CAP or isinstance(e, ProdSet):
         return _pointwise_range(e, limit, budget)
     proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
     if limit == 0 or isinstance(e, Empty):
@@ -571,8 +564,6 @@ def _structurally_up_closed(e: SetExpr) -> bool:
         return True
     if isinstance(e, (Union, Inter)):
         return _structurally_up_closed(e.left) and _structurally_up_closed(e.right)
-    if isinstance(e, Derived):
-        return e.upward_closed
     return False
 
 
@@ -621,8 +612,6 @@ def _structurally_infinite(e: SetExpr) -> bool:
         return is_infinite_prime_set(e.base)
     if isinstance(e, ProdSet):
         return all(is_infinite_prime_set(a) for a in e.args)
-    if isinstance(e, Derived):
-        return e.infinite
     return False
 
 

@@ -26,8 +26,7 @@ interpreter's stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from .errors import ParseError, PreconditionError
 
@@ -203,27 +202,6 @@ class Scale(SetExpr):
             raise PreconditionError("scale factor must be >= 1")
 
 
-@dataclass(frozen=True, repr=False, eq=False)
-class Derived(SetExpr):
-    """An opaque membership predicate usable wherever a SetExpr is.
-
-    Not part of the text grammar; produced internally (e.g. by the A_H
-    operator). fn(m, budget) must return a Verdict. upward_closed / infinite
-    are optional structural facts the producer vouches for.
-    """
-
-    name: str
-    fn: Callable = field(compare=False)
-    upward_closed: bool = False
-    infinite: bool = False
-
-    def __hash__(self):
-        return hash((self.name, id(self.fn)))
-
-    def __eq__(self, other):
-        return self is other
-
-
 N = Nat()
 P = Primes()
 EMPTY = Empty()
@@ -255,12 +233,6 @@ def contains_down(e: SetExpr) -> bool:
     if isinstance(e, Down):
         return True
     return any(contains_down(c) for c in children(e))
-
-
-def contains_derived(e: SetExpr) -> bool:
-    if isinstance(e, Derived):
-        return True
-    return any(contains_derived(c) for c in children(e))
 
 
 def render(e: SetExpr) -> str:
@@ -301,8 +273,6 @@ def render(e: SetExpr) -> str:
         return f"quot({render(e.inner)},{e.n})"
     if isinstance(e, Scale):
         return f"scale({render(e.inner)},{e.n})"
-    if isinstance(e, Derived):
-        return f"<derived:{e.name}>"
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -332,11 +302,16 @@ class _Parser:
     def nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also accepts digits int() refuses
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            self.pos = start
+            raise self.error("natural number has too many digits") from None
         if value < 1:
             self.pos = start
             raise self.error("naturals start at 1")

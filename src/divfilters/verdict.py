@@ -53,12 +53,6 @@ class Verdict:
         cert = f", certificate={self.certificate!r}" if self.certificate is not None else ""
         return f"Verdict({self.state.value}, budget={self.budget}{cert})"
 
-    def __eq__(self, other):
-        return isinstance(other, Verdict) and self.state is other.state
-
-    def __hash__(self):
-        return hash(self.state)
-
     def to_json(self) -> dict:
         out = {"state": self.state.value, "budget": self.budget}
         if self.certificate is not None:

@@ -29,12 +29,12 @@ from divfilters.semantics import (
 )
 from divfilters.setexpr import (
     Comp,
-    Derived,
     Down,
     Inter,
     Lit,
     Mult,
     PowSet,
+    ProdSet,
     Quot,
     Scale,
     Union,
@@ -122,16 +122,20 @@ def test_mixed_states_through_every_combinator():
 
 
 def test_fallback_cases_equal_pointwise():
-    odd = Derived("odd", lambda m, b: proved(b) if m % 2 else refuted(b))
-    maybe = Derived("maybe", lambda m, b: unknown(b) if m % 3 == 0 else refuted(b))
+    # at budget 10^4, down(mult(1000)) is Proved at m when lcm(m, 1000) <= 10^4
+    # and Unknown elsewhere, so the first two cases mix all three states
+    maybe = Down(Mult(1000))
     cases = [
-        Union(Mult(5), odd),
-        Up(Union(maybe, Lit(frozenset({4})))),
+        Union(Mult(5), ProdSet((Lit(frozenset({2, 3})), maybe))),
+        Up(Union(ProdSet((Lit(frozenset({7})), Comp(maybe))), Lit(frozenset({4})))),
         # reaches 2 * 10^6 > the sieve cap, so this node runs pointwise
         Quot(Union(Mult(7), Lit(frozenset({2 * 10**6}))), 200),
     ]
-    for e in cases:
-        assert _bulk_states(e, BUDGET, BUDGET) == _pointwise_states(e, BUDGET, BUDGET)
+    for i, e in enumerate(cases):
+        states = _bulk_states(e, BUDGET, BUDGET)
+        assert states == _pointwise_states(e, BUDGET, BUDGET)
+        if i < 2:
+            assert set(states) == set(ProofState), render(e)
 
 
 def test_evaluate_range_rejects_bad_bounds():

@@ -139,3 +139,19 @@ def test_crash_exits_70_with_traceback(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""
     assert "Traceback" in err and "RuntimeError: injected fault" in err
+
+
+def test_non_ascii_digits_exit_64(capsys):
+    # '²' passes str.isdigit() but int() refuses it
+    code, out, err = run(capsys, ["member", "mult(²)", "4"])
+    assert (code, out) == (64, "")
+    assert "offset 5" in err
+    code, out, err = run(capsys, ["divides", "principal:²", "principal:6"])
+    assert (code, out) == (64, "")
+    assert "offset 10" in err
+
+
+def test_natural_past_the_digit_limit_exits_64(capsys):
+    code, out, err = run(capsys, ["member", "mult(" + "1" * 5000 + ")", "4"])
+    assert (code, out) == (64, "")
+    assert "offset 5" in err and "too many digits" in err

@@ -27,7 +27,7 @@ def _node_classes() -> set[type]:
 
 def test_every_node_class_has_a_handler():
     assert set(_HANDLERS) == _node_classes()
-    assert len(_HANDLERS) == 19
+    assert len(_HANDLERS) == 18
 
 
 def test_node_classes_are_final():

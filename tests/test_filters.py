@@ -1,9 +1,13 @@
 import pytest
 
-from divfilters.errors import FilterConstructionError, ParseError
+from oracle import oracle_set
+
+from divfilters import default_filters, load_corpus
+from divfilters.errors import FilterConstructionError, ParseError, PreconditionError
 from divfilters.filters import (
     a_sub_h,
     d_member,
+    d_set,
     divides_tilde,
     filter_member,
     interpolation_check,
@@ -13,7 +17,13 @@ from divfilters.filters import (
     product_member,
     scale_filter,
 )
-from divfilters.semantics import is_upward_closed, member
+from divfilters.semantics import (
+    _as_up,
+    evaluate_range,
+    is_prime_set,
+    is_upward_closed,
+    member,
+)
 from divfilters.setexpr import (
     Comp,
     Inter,
@@ -22,7 +32,9 @@ from divfilters.setexpr import (
     PrimesIdx,
     Up,
     parse_expr,
+    render,
 )
+from divfilters.verdict import ProofState
 
 BUDGET = 10**4
 
@@ -102,24 +114,102 @@ def test_d_member_examples():
 
 
 def test_a_sub_h_examples():
-    pred = a_sub_h(Mult(6), principal(2), BUDGET)
+    pred = a_sub_h(Mult(6), principal(2))
     for m in range(1, 300):
         assert member(pred, m, BUDGET).proved == (m % 3 == 0)
     e = parse_expr("up({4,9})")
-    pred = a_sub_h(e, principal(1), BUDGET)
+    pred = a_sub_h(e, principal(1))
     for m in range(1, 300):
         assert member(pred, m, BUDGET).proved == member(e, m, BUDGET).proved
-    pred = a_sub_h(Up(Lit(frozenset({4}))), principal(2), BUDGET)
+    pred = a_sub_h(Up(Lit(frozenset({4}))), principal(2))
     for m in range(1, 300):
         assert member(pred, m, BUDGET).proved == (m % 2 == 0)
 
 
 def test_a_sub_h_upward_closed_when_host_is():
-    pred = a_sub_h(Mult(6), principal(2), BUDGET)
+    pred = a_sub_h(Mult(6), principal(2))
     for m in (3, 6, 9):
         for k in range(2, 21):
             if member(pred, m, BUDGET).proved:
                 assert member(pred, k * m, BUDGET).proved
+
+
+def test_a_sub_h_rejects_a_generated_filter():
+    with pytest.raises(PreconditionError, match="product_member"):
+        a_sub_h(Mult(6), make_filter([Mult(2)]))
+
+
+def _reference_d_state(e, n, b):
+    """The reference state of n in {m : mN <= e}: decided by rule for mult
+    and for upward-closed sets, else by a search of the multiples of n up
+    to the budget for one outside e."""
+    if isinstance(e, Mult):
+        return ProofState.PROVED if n % e.n == 0 else ProofState.REFUTED
+    if is_upward_closed(e, 1).proved:
+        v = member(e, n, b)
+        if v.decided:
+            return v.state
+    k = 1
+    while k <= max(1, b // n):
+        if member(e, n * k, b).refuted:
+            return ProofState.REFUTED
+        k += 1
+    return ProofState.UNKNOWN
+
+
+def test_d_set_equals_the_reference_predicate():
+    # for n > b the reference still inspected n itself; d_set inspects
+    # nothing past the budget, so the comparison stops at b
+    for e in load_corpus():
+        d = d_set(e)
+        for b in (1, 50, 300, 2000):
+            for n in range(1, b + 1):
+                assert member(d, n, b).state is _reference_d_state(e, n, b), (render(e), n, b)
+
+
+def test_product_member_equals_brute_force():
+    # generated factors and targets off the prime-up fast path whose states
+    # are all decided up to the budget: F*G holds e exactly when every
+    # product a*b <= budget of core members lies in e
+    budget = 300
+    gens = [f for f in default_filters() if not f.principal]
+    targets = []
+    for e in load_corpus():
+        e_up = _as_up(e)
+        if e_up is not None and is_prime_set(e_up.inner):
+            continue
+        if 1 not in evaluate_range(e, budget, budget)[1]:
+            targets.append((e, oracle_set(e, budget)))
+    assert len(targets) >= 35
+    for i, f in enumerate(gens):
+        a = sorted(oracle_set(f.core, budget))
+        for g in gens[i:]:
+            b = oracle_set(g.core, budget)
+            products = {x * y for x in a for y in b if x * y <= budget}
+            for e, members in targets:
+                v = product_member(f, g, e, budget)
+                outside = sorted(products - members)
+                assert v.refuted == bool(outside), (f, g, render(e))
+                if outside:
+                    assert v.certificate == outside[0], (f, g, render(e))
+
+
+def test_product_member_inspects_products_up_to_the_budget():
+    # the least product of the core outside the target is 35*35 = 1225: a
+    # product of equal factors, which prodset alone leaves out
+    f = parse_filter_spec("gen:[up(prodset(primesIdx(1,2),primesIdx(2,2)))]")
+    e = parse_expr("union(mult(2),mult(3))")
+    assert product_member(f, f, e, 300).unknown
+    v = product_member(f, f, e, 2000)
+    assert v.refuted and v.certificate == 1225
+
+
+def test_product_member_of_a_refutation_free_pair_stops_at_the_budget():
+    # every product of mult(2) and mult(3) is a multiple of 6, so no natural
+    # refutes comp({5}), and no structural rule proves it
+    f = parse_filter_spec("gen:[mult(2)]")
+    g = parse_filter_spec("gen:[mult(3)]")
+    assert product_member(f, g, parse_expr("comp({5})")).unknown
 
 
 def test_interpolation_examples():
