@@ -41,10 +41,9 @@ from .errors import IncompleteEnumerationError, PreconditionError
 from .semantics import (
     DEFAULT_BUDGET,
     enumerate_upto,
-    has_infinite_antichain,
+    facts,
     is_upward_closed,
     member,
-    syntactic_cover,
 )
 from .setexpr import SetExpr, render
 from .verdict import Verdict, proved, refuted, unknown
@@ -299,7 +298,7 @@ def covering_witness(
         raise IncompleteEnumerationError(
             f"members of {render(e)} up to {limit} contain Unknown verdicts"
         )
-    sc = syntactic_cover(e)
+    sc = facts(e).cover
     for k in range(1, k_max + 1):
         for combo in combinations(range(2, n_max + 1), k):
             if all(any(m % n == 0 for n in combo) for m in members):
@@ -316,11 +315,11 @@ def is_n_free(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     Proved requires a structural infinite-antichain rule; bounded evidence
     alone yields UnknownAtBound.
     """
-    sc = syntactic_cover(e)
-    if sc is not None:
-        cert = CoveringCertificate(sc, e, budget, structural=True)
+    shape = facts(e)
+    if shape.cover is not None:
+        cert = CoveringCertificate(shape.cover, e, budget, structural=True)
         return refuted(budget, cert)
-    if has_infinite_antichain(e):
+    if shape.antichain:
         sample = find_antichain_of_size(e, 4, min(budget, 10**4))
         cert = {
             "rule": "infinite-antichain",

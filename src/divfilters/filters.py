@@ -4,7 +4,8 @@ A presentation is either principal at a point n (the filter of all sets
 containing n) or generated by finitely many set expressions (the filter of
 all supersets of their intersection, the core). A finitely generated filter
 is fully determined by its core, so tilde-divisibility F |~ G reduces to:
-every element of core(G) has a divisor in core(F), i.e. core(G) <= core(F)^.
+every element of core(G) has a divisor in core(F), i.e. core(G) <= core(F)^,
+which is filter_member(G, up(core(F))).
 
 The other operations are grammar expressions fed to the same scans. The
 product F*G of generated filters with cores A and B is the filter generated
@@ -12,6 +13,10 @@ by A*B = union(prodset(A,B),pow(inter(A,B),2)). The derived filter D(F)
 holds e exactly when F holds {n : nN <= e} = comp(down(comp(e))), which is
 e itself when e is upward closed. For a principal H at h, the set A_H(e) =
 {m : e/m in H} is quot(e,h).
+
+The syntactic facts these operations consult (upward closed, a prime set,
+the elements of an explicit core) come from semantics.facts.
+_structural_min_member is not such a fact: it searches for a member.
 
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
@@ -28,9 +33,8 @@ from .errors import FilterConstructionError, ParseError, PreconditionError
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
-    _structurally_up_closed,
     enumerate_upto,
-    is_prime_set,
+    facts,
     member,
     structurally_subset,
 )
@@ -115,7 +119,7 @@ def _structural_min_member(e: SetExpr) -> Optional[int]:
     if isinstance(e, PowSet):
         inner = _structural_min_member(e.base)
         return None if inner is None else inner**e.n
-    if isinstance(e, ProdSet) and all(is_prime_set(a) for a in e.args):
+    if isinstance(e, ProdSet) and all(facts(a).primes for a in e.args):
         used: set[int] = set()
         product = 1
         for arg in e.args:
@@ -221,15 +225,7 @@ def divides_tilde(
         if g.point % f.point == 0:
             return proved(budget, (f.point, g.point))
         return refuted(budget, g.point)
-    target = Up(f.core)
-    if structurally_subset(g.core, target, budget):
-        return proved(budget, "structural")
-    for b in range(1, budget + 1):
-        if not member(g.core, b, budget).proved:
-            continue
-        if member(target, b, budget).refuted:
-            return refuted(budget, b)
-    return unknown(budget)
+    return filter_member(g, Up(f.core), budget)
 
 
 def product_member(
@@ -252,7 +248,7 @@ def product_member(
     if g.principal:
         return filter_member(f, Quot_of(e, g.point), budget)
     e_up = _as_up(e)
-    if e_up is not None and is_prime_set(e_up.inner):
+    if e_up is not None and facts(e_up.inner).primes:
         # prime-upward sets collapse the product to a union of the factors
         return three_valued_or(
             filter_member(f, e, budget), filter_member(g, e, budget)
@@ -271,7 +267,7 @@ def d_set(e: SetExpr) -> SetExpr:
     """The set {n : nN <= e}, always upward closed: nN <= e exactly when no
     multiple of n lies outside e, which is comp(down(comp(e))). For an
     upward-closed e it is e itself."""
-    if _structurally_up_closed(e):
+    if facts(e).up_closed:
         return e
     return Comp(Down(Comp(e)))
 
@@ -313,27 +309,6 @@ def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:
     return FilterPresentation("generated", core, gens=(core,), fip_witness=witness)
 
 
-def _explicit_finite_elements(e: SetExpr) -> Optional[frozenset[int]]:
-    if isinstance(e, Lit):
-        return e.elements
-    if isinstance(e, Union):
-        left = _explicit_finite_elements(e.left)
-        right = _explicit_finite_elements(e.right)
-        if left is not None and right is not None:
-            return left | right
-        return None
-    if isinstance(e, Inter):
-        left = _explicit_finite_elements(e.left)
-        right = _explicit_finite_elements(e.right)
-        if left is not None and right is not None:
-            return left & right
-        return None
-    if isinstance(e, Scale):
-        inner = _explicit_finite_elements(e.inner)
-        return None if inner is None else frozenset(e.n * x for x in inner)
-    return None
-
-
 def interpolation_check(
     f: FilterPresentation, g: FilterPresentation, limit: int,
     budget: Optional[int] = None,
@@ -341,8 +316,7 @@ def interpolation_check(
     """Finite shadow of the interpolation property on cores: find
     a, b in core(F) and c in core(G) with a != c != b, a | c and c | b."""
     budget = max(budget or DEFAULT_BUDGET, limit)
-    ef = _explicit_finite_elements(f.core)
-    eg = _explicit_finite_elements(g.core)
+    ef, eg = facts(f.core).elements, facts(g.core).elements
     if ef is not None and eg is not None:
         members_f, members_g = sorted(ef), sorted(eg)
         exhaustive = True

@@ -3,13 +3,18 @@
 member() is exact (never Unknown) for every expression that contains no
 Down node: divisors of m are finitely many, so upward closure is decidable
 whenever the inner set is. Down is an unbounded existential and yields
-Proved or UnknownAtBound, never Refuted, except over a literal set or empty:
-m is in down(F) for finite F exactly when m divides an element of F, and
-that is decided.
+Proved or UnknownAtBound, never Refuted, except over an explicit set: m is
+in down(F) for finite F exactly when m divides an element of F, and that is
+decided.
 
-The structural-rule tables (upward-closedness, infinitude, subset proofs,
-syntactic covers, infinite-antichain rules) are deliberate
-under-approximations: anything off-table degrades to bounded search.
+facts(e) gives the structural facts of e in one record: a set of primes,
+infinite, finite, upward closed, holding an infinite pairwise-coprime
+family, a finite cover, and the elements of an explicit set (a literal,
+empty, or a union, intersection or scale of explicit sets). It is built
+bottom-up, one rule per node class, from the children's records, and is
+memoised. Its rules, like the structural subset rules, are deliberate
+under-approximations: a False flag or a None field means no rule applied,
+and the callers fall back to bounded search.
 
 _member() dispatches on the exact class of the node: one lookup of type(e)
 in the _HANDLERS table gives the private handler for that class, and a class
@@ -18,25 +23,27 @@ module-level name _member, never by calling another handler, so a wrapper
 installed on that name (a tracer, a counter) sees every evaluation. To add a
 node class: define it in setexpr (a final class, never subclassed, since the
 lookup is by exact type), write a handler _member_<name>(e, m, budget) that
-builds a fresh Verdict, and add the pair to _HANDLERS.
+builds a fresh Verdict, add the pair to _HANDLERS, and add a rule for the
+class to facts() (a class with no rule raises TypeError there too).
 
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges, and backs the
 bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
 back to member() for each m, over the range of that node, in two cases:
 a prodset node, and any node whose range would pass the sieve cap (a quot
-node reaches L*n, a down node over a set that is not a literal reaches the
+node reaches L*n, a down node over a set that is not explicit reaches the
 budget).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import arith
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .setexpr import (
     EMPTY as EMPTY_SINGLETON,
     N as NAT_SINGLETON,
@@ -100,28 +107,107 @@ def _is_factorial(m: int) -> Optional[int]:
     return k if f == m else None
 
 
-def is_prime_set(e: SetExpr) -> bool:
-    """Structural proof that e is a set of primes."""
-    if isinstance(e, (Primes, PrimesIdx, PrimesGeom)):
-        return True
-    if isinstance(e, Lit):
-        return all(arith.is_prime(x) for x in e.elements)
-    if isinstance(e, Union):
-        return is_prime_set(e.left) and is_prime_set(e.right)
-    if isinstance(e, Inter):
-        return is_prime_set(e.left) or is_prime_set(e.right)
-    return False
+# --- structural facts ----------------------------------------------------------
+
+class Facts(NamedTuple):
+    """What the shape of an expression proves about the set it denotes.
+
+    Each flag is a proof when True and means "no rule applied" when False.
+    """
+
+    primes: bool = False  # every member is prime
+    infinite: bool = False
+    finite: bool = False
+    up_closed: bool = False  # closed under taking multiples
+    antichain: bool = False  # holds an infinite pairwise-coprime family
+    # a finite set of naturals >= 2 such that every member has a divisor in it
+    cover: Optional[frozenset[int]] = None
+    elements: Optional[frozenset[int]] = None  # the members, for an explicit set
 
 
-def is_infinite_prime_set(e: SetExpr) -> bool:
-    """Structural proof that e is an infinite set of primes."""
-    if isinstance(e, (Primes, PrimesIdx, PrimesGeom)):
-        return True
-    if isinstance(e, Union):
-        if not (is_prime_set(e.left) and is_prime_set(e.right)):
-            return False
-        return is_infinite_prime_set(e.left) or is_infinite_prime_set(e.right)
-    return False
+_PRIME_FACTS = Facts(primes=True, infinite=True, antichain=True)
+
+
+@lru_cache(maxsize=4096)
+def facts(e: SetExpr) -> Facts:
+    """The structural facts of e, built bottom-up from its children's."""
+    t = type(e)
+    if t in (Primes, PrimesIdx, PrimesGeom):
+        return _PRIME_FACTS
+    if t is Nat:
+        return Facts(infinite=True, up_closed=True)
+    if t is Empty:
+        return Facts(finite=True, up_closed=True, cover=frozenset({2}), elements=frozenset())
+    if t is Mult:
+        return Facts(infinite=True, up_closed=True,
+                     cover=frozenset({e.n}) if e.n >= 2 else None)
+    if t is Lit:
+        try:
+            primes = all(arith.is_prime(x) for x in e.elements)
+        except BudgetExceededError:  # primality past the sieve cap: no rule
+            primes = False
+        return Facts(primes=primes, finite=True, elements=e.elements,
+                     cover=None if 1 in e.elements else e.elements)
+    if t is Level:
+        return Facts(infinite=e.n >= 1)
+    if t is Factorials:
+        return Facts(infinite=True)
+    if t is Comp:
+        return Facts()
+    if t in (Union, Inter):
+        a, b = facts(e.left), facts(e.right)
+        both_cover = a.cover is not None and b.cover is not None
+        both_explicit = a.elements is not None and b.elements is not None
+        if t is Union:
+            return Facts(
+                primes=a.primes and b.primes,
+                infinite=a.infinite or b.infinite,
+                finite=a.finite and b.finite,
+                up_closed=a.up_closed and b.up_closed,
+                antichain=a.antichain or b.antichain,
+                cover=a.cover | b.cover if both_cover else None,
+                elements=a.elements | b.elements if both_explicit else None,
+            )
+        return Facts(
+            primes=a.primes or b.primes,
+            finite=a.finite or b.finite,
+            up_closed=a.up_closed and b.up_closed,
+            cover=a.cover if a.cover is not None else b.cover,
+            elements=a.elements & b.elements if both_explicit else None,
+        )
+    if t is PowSet:
+        base = facts(e.base)
+        prime_infinite = base.primes and base.infinite
+        return Facts(infinite=prime_infinite, finite=base.finite,
+                     antichain=prime_infinite, cover=base.cover)
+    if t is ProdSet:
+        args = [facts(a) for a in e.args]
+        prime_infinite = all(a.primes and a.infinite for a in args)
+        return Facts(infinite=prime_infinite, finite=all(a.finite for a in args),
+                     antichain=prime_infinite,
+                     cover=next((a.cover for a in args if a.cover is not None), None))
+    if t not in (Up, Down, Quot, Scale):
+        raise TypeError(f"unknown node {e!r}")
+    inner = facts(e.inner)
+    if t is Up:
+        return Facts(infinite=inner.infinite, up_closed=True,
+                     antichain=inner.antichain, cover=inner.cover)
+    if t is Down:
+        return Facts(infinite=inner.infinite, finite=inner.finite, antichain=inner.antichain)
+    if t is Quot:
+        return Facts(finite=inner.finite)
+    return Facts(  # Scale
+        infinite=inner.infinite,
+        finite=inner.finite,
+        antichain=e.n == 1 and inner.antichain,
+        cover=frozenset({e.n}) if e.n >= 2 else inner.cover,
+        elements=None if inner.elements is None else frozenset(e.n * x for x in inner.elements),
+    )
+
+
+def syntactic_cover(e: SetExpr) -> Optional[frozenset[int]]:
+    """The structural cover of e (see Facts.cover); None if no rule applies."""
+    return facts(e).cover
 
 
 def member(e: SetExpr, m: int, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -226,17 +312,8 @@ def _member_up(e: Up, m: int, budget: int) -> Verdict:
     return Verdict(_UNKNOWN if saw_unknown else _REFUTED, budget)
 
 
-def _literal_elements(e: SetExpr) -> Optional[frozenset[int]]:
-    """The elements of a literal set or of empty; None for any other node."""
-    if type(e) is Lit:
-        return e.elements
-    if type(e) is Empty:
-        return frozenset()
-    return None
-
-
 def _member_down(e: Down, m: int, budget: int) -> Verdict:
-    elements = _literal_elements(e.inner)
+    elements = facts(e.inner).elements
     if elements is not None:
         least = min((x for x in elements if x % m == 0), default=None)
         if least is None:
@@ -294,7 +371,7 @@ def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
     k = len(args)
     if k == 1:
         return _member(args[0], m, budget)
-    if all(is_prime_set(a) for a in args):
+    if all(facts(a).primes for a in args):
         # m must be a product of k distinct primes matched one per argument
         fac = arith.factorize(m)
         if any(exp != 1 for _, exp in fac.factors) or len(fac.factors) != k:
@@ -452,7 +529,7 @@ def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, by
 def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
     # the fallback rule of the module docstring
     reach = limit
-    if isinstance(e, Down) and _literal_elements(e.inner) is None:
+    if isinstance(e, Down) and facts(e.inner).elements is None:
         reach = max(limit, budget)
     elif isinstance(e, Quot):
         reach = limit * e.n
@@ -496,7 +573,7 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
         proved_ = _multiples(inner_p)
         unknown_ = _bytes(_bits(_multiples(inner_u, proved_)) & ~_bits(proved_), limit)
     elif isinstance(e, Down):
-        elements = _literal_elements(e.inner)
+        elements = facts(e.inner).elements
         if elements is not None:
             # exact: the divisors of the elements, found without factoring
             for m in range(1, min(limit, max(elements, default=0)) + 1):
@@ -559,17 +636,9 @@ def enumerate_upto(
 
 # --- upward closedness ------------------------------------------------------
 
-def _structurally_up_closed(e: SetExpr) -> bool:
-    if isinstance(e, (Nat, Empty, Mult, Up)):
-        return True
-    if isinstance(e, (Union, Inter)):
-        return _structurally_up_closed(e.left) and _structurally_up_closed(e.right)
-    return False
-
-
 def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Is the denoted set closed under taking multiples?"""
-    if _structurally_up_closed(e):
+    if facts(e).up_closed:
         return proved(budget, "structural")
     # The certificate is the first pair (m, km) in m-then-k order. Windows
     # [1..w] grow fourfold up to the budget. A pair whose m is the least
@@ -597,45 +666,12 @@ def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 # --- infinitude -------------------------------------------------------------
 
-def _structurally_infinite(e: SetExpr) -> bool:
-    if isinstance(e, (Nat, Primes, Mult, PrimesIdx, PrimesGeom, Factorials)):
-        return True
-    if isinstance(e, Level):
-        return e.n >= 1
-    if isinstance(e, (Up, Down)):
-        return _structurally_infinite(e.inner)
-    if isinstance(e, Scale):
-        return _structurally_infinite(e.inner)
-    if isinstance(e, Union):
-        return _structurally_infinite(e.left) or _structurally_infinite(e.right)
-    if isinstance(e, PowSet):
-        return is_infinite_prime_set(e.base)
-    if isinstance(e, ProdSet):
-        return all(is_infinite_prime_set(a) for a in e.args)
-    return False
-
-
-def _structurally_finite(e: SetExpr) -> bool:
-    if isinstance(e, (Empty, Lit)):
-        return True
-    if isinstance(e, Union):
-        return _structurally_finite(e.left) and _structurally_finite(e.right)
-    if isinstance(e, Inter):
-        return _structurally_finite(e.left) or _structurally_finite(e.right)
-    if isinstance(e, (Scale, Quot, Down)):
-        return _structurally_finite(e.inner)
-    if isinstance(e, PowSet):
-        return _structurally_finite(e.base)
-    if isinstance(e, ProdSet):
-        return all(_structurally_finite(a) for a in e.args)
-    return False
-
-
 def is_infinite(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Is the denoted set infinite? Decided structurally or left Unknown."""
-    if _structurally_infinite(e):
+    shape = facts(e)
+    if shape.infinite:
         return proved(budget, "structural")
-    if _structurally_finite(e):
+    if shape.finite:
         return refuted(budget, "structural")
     return unknown(budget, _range(e, max(budget, 0), budget)[0].count(1))
 
@@ -673,7 +709,7 @@ def simplify(e: SetExpr) -> SetExpr:
         e = PowSet(simplify(e.base), e.n)
     elif isinstance(e, ProdSet):
         e = ProdSet(tuple(simplify(a) for a in e.args))
-    if isinstance(e, Up) and _structurally_up_closed(e.inner):
+    if isinstance(e, Up) and facts(e.inner).up_closed:
         return e.inner
     if isinstance(e, Scale):
         if e.n == 1:
@@ -711,7 +747,7 @@ def simplify(e: SetExpr) -> SetExpr:
             gens = e.inner.inner.elements
             if any(e.n % s == 0 for s in gens):
                 return NAT_SINGLETON
-            if all(arith.is_prime(s) for s in gens):
+            if facts(e.inner.inner).primes:
                 # primes not dividing n are coprime to it: s | m*n iff s | m
                 return e.inner
     return e
@@ -789,59 +825,3 @@ def structurally_subset(a: SetExpr, b: SetExpr, budget: int = DEFAULT_BUDGET, _d
 def _is_prefix(short: tuple, long: tuple) -> bool:
     return len(short) <= len(long) and long[: len(short)] == short
 
-
-# --- covers and antichain structure ------------------------------------------
-
-def syntactic_cover(e: SetExpr) -> Optional[frozenset[int]]:
-    """A structurally-proved finite set C of naturals >= 2 such that every
-    member of e is divisible by some element of C; None if no rule applies."""
-    if isinstance(e, Empty):
-        return frozenset({2})
-    if isinstance(e, Mult):
-        return frozenset({e.n}) if e.n >= 2 else None
-    if isinstance(e, Lit):
-        if 1 in e.elements:
-            return None
-        return frozenset(e.elements)
-    if isinstance(e, Scale):
-        if e.n >= 2:
-            return frozenset({e.n})
-        return syntactic_cover(e.inner)
-    if isinstance(e, Union):
-        left, right = syntactic_cover(e.left), syntactic_cover(e.right)
-        if left is not None and right is not None:
-            return left | right
-        return None
-    if isinstance(e, Inter):
-        left = syntactic_cover(e.left)
-        if left is not None:
-            return left
-        return syntactic_cover(e.right)
-    if isinstance(e, Up):
-        return syntactic_cover(e.inner)
-    if isinstance(e, PowSet):
-        return syntactic_cover(e.base)
-    if isinstance(e, ProdSet):
-        for arg in e.args:
-            cover = syntactic_cover(arg)
-            if cover is not None:
-                return cover
-        return None
-    return None
-
-
-def has_infinite_antichain(e: SetExpr) -> bool:
-    """Structural proof that e contains an infinite pairwise-coprime family."""
-    if is_infinite_prime_set(e):
-        return True
-    if isinstance(e, PowSet):
-        return is_infinite_prime_set(e.base)
-    if isinstance(e, ProdSet):
-        return all(is_infinite_prime_set(a) for a in e.args)
-    if isinstance(e, Union):
-        return has_infinite_antichain(e.left) or has_infinite_antichain(e.right)
-    if isinstance(e, (Up, Down)):
-        return has_infinite_antichain(e.inner)
-    if isinstance(e, Scale) and e.n == 1:
-        return has_infinite_antichain(e.inner)
-    return False

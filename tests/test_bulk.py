@@ -19,11 +19,9 @@ from divfilters import antichain, arith, load_corpus
 from divfilters.errors import PreconditionError
 from divfilters.semantics import (
     _member,
-    _structurally_finite,
-    _structurally_infinite,
-    _structurally_up_closed,
     enumerate_upto,
     evaluate_range,
+    facts,
     is_infinite,
     is_upward_closed,
 )
@@ -138,6 +136,22 @@ def test_fallback_cases_equal_pointwise():
             assert set(states) == set(ProofState), render(e)
 
 
+@pytest.mark.parametrize("budget", [1, 100, BUDGET])
+def test_down_of_an_explicit_set_is_decided(budget):
+    # unions, intersections and scales of literal sets and empty are explicit
+    # sets, so down of one is decided at any budget, pointwise and in bulk
+    texts = ["down(union({12},{18}))", "down(inter({12,18},{18,30}))",
+             "down(scale(union({7},{5,11}),6))", "down(union(empty,{1000,600}))",
+             "down(inter({8},{9}))", "comp(down(union({12},scale({9},2))))"]
+    for text in texts:
+        e = parse_expr(text)
+        states = _bulk_states(e, 300, budget)
+        assert states == _pointwise_states(e, 300, budget), text
+        assert ProofState.UNKNOWN not in states, text
+        _check_oracle(e, states)
+    assert _member(parse_expr("down(union({12},{18}))"), 5, 100).refuted
+
+
 def test_evaluate_range_rejects_bad_bounds():
     with pytest.raises(PreconditionError):
         evaluate_range(Mult(2), -1, BUDGET)
@@ -164,7 +178,7 @@ def _reference_enumerate(e, limit, budget):
 
 
 def _reference_upward_closed(e, budget):
-    if _structurally_up_closed(e):
+    if facts(e).up_closed:
         return proved(budget, "structural")
     for m in range(1, budget + 1):
         if not _member(e, m, budget).proved:
@@ -178,9 +192,9 @@ def _reference_upward_closed(e, budget):
 
 
 def _reference_infinite(e, budget):
-    if _structurally_infinite(e):
+    if facts(e).infinite:
         return proved(budget, "structural")
-    if _structurally_finite(e):
+    if facts(e).finite:
         return refuted(budget, "structural")
     count = sum(1 for m in range(1, budget + 1) if _member(e, m, budget).proved)
     return unknown(budget, count)
@@ -221,7 +235,7 @@ def _windowed_upward_closed(e, budget):
     """is_upward_closed with windows [1..w] growing fourfold up to the budget
     for every expression, as before expressions with `down` were scanned in
     one window."""
-    if _structurally_up_closed(e):
+    if facts(e).up_closed:
         return proved(budget, "structural")
     window = min(64, budget)
     while True:

@@ -19,6 +19,13 @@ def test_nfree_cover_exit_code(capsys):
     assert payload["certificate"]["covers"] == [2, 3]
 
 
+def test_nfree_cover_with_a_literal_past_the_sieve_cap(capsys):
+    # 1000036000099 = 1000003 * 1000033, whose primality is not decided
+    code, out, _ = run(capsys, ["nfree", "union({1000036000099},mult(2))", "--json"])
+    assert code == 1
+    assert json.loads(out)["certificate"]["covers"] == [2, 1000036000099]
+
+
 def test_divides_exit_codes(capsys):
     assert run(capsys, ["divides", "principal:6", "principal:18"])[0] == 0
     assert run(capsys, ["divides", "principal:6", "principal:8"])[0] == 1

@@ -1,5 +1,6 @@
-"""The evaluator's dispatch table and the harness's L2.1b refutation check,
-each against the code it replaced, kept here as the reference."""
+"""The evaluator's dispatch table, the structural-facts pass over every node
+class, and the harness's L2.1b refutation check against the code it
+replaced, kept here as the reference."""
 
 import random
 
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from divfilters import arith
 from divfilters.harness import _brute_refutation, _sample_prime_sets
-from divfilters.semantics import _HANDLERS, enumerate_upto, member
-from divfilters.setexpr import PrimesIdx, SetExpr, Up
+from divfilters.semantics import _HANDLERS, Facts, enumerate_upto, facts, member
+from divfilters.setexpr import PrimesIdx, SetExpr, Up, parse_expr
 
 BUDGET = 10**4
 
@@ -44,6 +45,22 @@ def test_unknown_node_raises_type_error():
         member(Stranger(), 6)
     with pytest.raises(TypeError, match="unknown node"):
         member(Up(Stranger()), 6)
+    with pytest.raises(TypeError, match="unknown node"):
+        facts(Stranger())
+    with pytest.raises(TypeError, match="unknown node"):
+        facts(Up(Stranger()))
+
+
+def test_facts_has_a_rule_for_every_node_class():
+    # one expression of each class; a new class must be added here
+    texts = ["N", "empty", "P", "factorials", "{2,3}", "mult(6)", "level(2)",
+             "primesIdx(1,2)", "primesGeom(1,2)", "up({4})", "down({12})",
+             "quot(mult(4),2)", "scale(P,3)", "comp(P)", "union(P,{4})",
+             "inter(P,mult(3))", "pow(P,2)", "prodset(P,P)"]
+    samples = {type(e): e for e in map(parse_expr, texts)}
+    assert set(samples) == _node_classes()
+    for e in samples.values():
+        assert isinstance(facts(e), Facts)
 
 
 def _reference_refutation(f_members, g_members, b_set, bound):

@@ -20,7 +20,7 @@ from divfilters.filters import (
 from divfilters.semantics import (
     _as_up,
     evaluate_range,
-    is_prime_set,
+    facts,
     is_upward_closed,
     member,
 )
@@ -80,6 +80,24 @@ def test_divides_tilde_examples():
         BUDGET,
     )
     assert v.refuted and v.certificate == 3
+
+
+def test_divides_tilde_at_a_principal_g_is_membership():
+    # F |~ G for G principal at n holds exactly when n is in up(core(F)), so
+    # the verdict is that membership's, also for n past the budget
+    budget = 300
+    for f in default_filters():
+        if f.principal:
+            continue
+        for n in list(range(1, 61)) + [301, 20001]:
+            v = divides_tilde(f, principal(n), budget)
+            w = member(Up(f.core), n, budget)
+            assert (v.state, v.certificate) == (w.state, w.certificate), (f, n)
+    f = parse_filter_spec("gen:[mult(2)]")
+    v = divides_tilde(f, principal(20), BUDGET)
+    assert v.proved and v.certificate == 2
+    v = divides_tilde(f, principal(20001), BUDGET)
+    assert v.refuted and v.certificate is None
 
 
 def test_product_member_examples():
@@ -176,7 +194,7 @@ def test_product_member_equals_brute_force():
     targets = []
     for e in load_corpus():
         e_up = _as_up(e)
-        if e_up is not None and is_prime_set(e_up.inner):
+        if e_up is not None and facts(e_up.inner).primes:
             continue
         if 1 not in evaluate_range(e, budget, budget)[1]:
             targets.append((e, oracle_set(e, budget)))
