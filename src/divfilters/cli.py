@@ -27,7 +27,7 @@ from .filters import (
 )
 from .harness import LEMMA_IDS, HarnessParams, run_harness
 from .semantics import DEFAULT_BUDGET, enumerate_upto, is_upward_closed, member
-from .setexpr import parse_expr, render
+from .setexpr import NODE_CLASSES, parse_expr, render, usage
 from .verdict import SCHEMA_VERSION, Verdict
 
 EXIT_PROVED = 0
@@ -37,10 +37,8 @@ EXIT_USAGE = 64
 EXIT_INTERNAL = 70
 
 GRAMMAR_HINT = (
-    "expressions: N | P | empty | factorials | {n,...} | mult(n) | level(n) "
-    "| primesIdx(r,m) | primesGeom(c,q) | pow(e,n) | prodset(e,...) | comp(e) "
-    "| union(e,e) | inter(e,e) | up(e) | down(e) | quot(e,n) | scale(e,n); "
-    "filters: principal:<n> or gen:[e1;e2;...]"
+    "expressions: " + " | ".join(map(usage, NODE_CLASSES))
+    + "; filters: principal:<n> or gen:[e1;e2;...]"
 )
 
 

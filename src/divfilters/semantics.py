@@ -20,11 +20,13 @@ _member() dispatches on the exact class of the node: one lookup of type(e)
 in the _HANDLERS table gives the private handler for that class, and a class
 with no entry raises TypeError. A handler evaluates a child only through the
 module-level name _member, never by calling another handler, so a wrapper
-installed on that name (a tracer, a counter) sees every evaluation. To add a
-node class: define it in setexpr (a final class, never subclassed, since the
-lookup is by exact type), write a handler _member_<name>(e, m, budget) that
-builds a fresh Verdict, add the pair to _HANDLERS, and add a rule for the
-class to facts() (a class with no rule raises TypeError there too).
+installed on that name (a tracer, a counter) sees every evaluation.
+
+To add a node class: declare it in setexpr, syntax included (the only
+syntax edit), as a final class, since every lookup is by exact type; write a
+handler _member_<name>(e, m, budget) that builds a fresh Verdict and add the
+pair to _HANDLERS; add a rule to facts() and a branch to _range. A class
+missing from any of the three raises TypeError there.
 
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges, and backs the
@@ -43,7 +45,7 @@ from itertools import compress
 from typing import NamedTuple, Optional
 
 from . import arith
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .setexpr import (
     EMPTY as EMPTY_SINGLETON,
     N as NAT_SINGLETON,
@@ -67,6 +69,7 @@ from .setexpr import (
     Union,
     Up,
     contains_down,
+    map_children,
 )
 from .verdict import (
     ProofState,
@@ -142,10 +145,9 @@ def facts(e: SetExpr) -> Facts:
         return Facts(infinite=True, up_closed=True,
                      cover=frozenset({e.n}) if e.n >= 2 else None)
     if t is Lit:
-        try:
-            primes = all(arith.is_prime(x) for x in e.elements)
-        except BudgetExceededError:  # primality past the sieve cap: no rule
-            primes = False
+        # past the sieve cap squared is_prime can only say False or raise
+        primes = all(math.isqrt(x) <= arith.DEFAULT_SIEVE_CAP and arith.is_prime(x)
+                     for x in e.elements)
         return Facts(primes=primes, finite=True, elements=e.elements,
                      cover=None if 1 in e.elements else e.elements)
     if t is Level:
@@ -699,16 +701,7 @@ def simplify(e: SetExpr) -> SetExpr:
     """Bottom-up rewriting to a small canonical-ish form; used so the
     structural subset rules can fire through Scale/Quot/Up wrappers.
     Rewrites preserve the denoted set exactly."""
-    if isinstance(e, (Comp, Up, Down)):
-        e = type(e)(simplify(e.inner))
-    elif isinstance(e, (Quot, Scale)):
-        e = type(e)(simplify(e.inner), e.n)
-    elif isinstance(e, (Union, Inter)):
-        e = type(e)(simplify(e.left), simplify(e.right))
-    elif isinstance(e, PowSet):
-        e = PowSet(simplify(e.base), e.n)
-    elif isinstance(e, ProdSet):
-        e = ProdSet(tuple(simplify(a) for a in e.args))
+    e = map_children(e, simplify)
     if isinstance(e, Up) and facts(e.inner).up_closed:
         return e.inner
     if isinstance(e, Scale):

@@ -5,16 +5,24 @@ Grammar (whitespace-insensitive; renderer emits the canonical no-space form):
 
     expr := "N" | "P" | "empty" | "factorials"
           | "{" nat ("," nat)* "}"
-          | "mult(" nat ")" | "level(" nat ")" | "primesIdx(" nat "," nat ")"
+          | "mult(" nat ")" | "level(" nat0 ")" | "primesIdx(" nat "," nat ")"
           | "primesGeom(" nat "," nat ")"
-          | "pow(" expr "," nat ")" | "prodset(" expr ("," expr)+ ")"
+          | "pow(" expr "," nat ")" | "prodset(" expr ("," expr)* ")"
           | "comp(" expr ")" | "union(" expr "," expr ")" | "inter(" expr "," expr ")"
           | "up(" expr ")" | "down(" expr ")"
           | "quot(" expr "," nat ")" | "scale(" expr "," nat ")"
 
+nat is a natural >= 1 and nat0 a natural >= 0, so level(0) is the set {1}.
 primesGeom(c,q) = {i-th prime : i = c*q^t, t >= 0} is an extension atom used
 by the tree-scheme almost-disjoint families; everything else follows the
 standard vocabulary.
+
+Each node class declares its syntax next to its fields: `head`, its grammar
+word ("{" for a literal set, whose arguments sit in braces), and `sig`, one
+argument kind per field: "e" an expression, "n" a natural >= 1, "z" a
+natural >= 0. A "+" after the last kind means one or more, held in a tuple
+of expressions or a frozenset of naturals. render, children, map_children,
+the parser and usage read only that declaration.
 
 Expressions are immutable; structural equality is syntactic only.
 
@@ -26,17 +34,28 @@ interpreter's stack.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 from .errors import ParseError, PreconditionError
 
 MAX_DEPTH = 200
+
+# every node class, in declaration order, which is the order usage lists them
+NODE_CLASSES: list[type[SetExpr]] = []
 
 
 class SetExpr:
     """Base class for all expression nodes."""
 
     __slots__ = ()
+    head: ClassVar[str]
+    sig: ClassVar[str] = ""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        NODE_CLASSES.append(cls)
 
     def __repr__(self):
         return render(self)
@@ -46,26 +65,33 @@ class SetExpr:
 class Nat(SetExpr):
     """All of N."""
 
-
-@dataclass(frozen=True, repr=False)
-class Empty(SetExpr):
-    pass
+    head = "N"
 
 
 @dataclass(frozen=True, repr=False)
 class Primes(SetExpr):
     """The set P of all primes."""
 
+    head = "P"
+
+
+@dataclass(frozen=True, repr=False)
+class Empty(SetExpr):
+    head = "empty"
+
 
 @dataclass(frozen=True, repr=False)
 class Factorials(SetExpr):
     """{n! : n in N}."""
+
+    head = "factorials"
 
 
 @dataclass(frozen=True, repr=False)
 class Lit(SetExpr):
     """An explicit finite set of naturals."""
 
+    head, sig = "{", "n+"
     elements: frozenset[int]
 
     def __post_init__(self):
@@ -81,6 +107,7 @@ def lit(*elements: int) -> Lit:
 class Mult(SetExpr):
     """nN = {n*m : m in N}."""
 
+    head, sig = "mult", "n"
     n: int
 
     def __post_init__(self):
@@ -92,6 +119,7 @@ class Mult(SetExpr):
 class Level(SetExpr):
     """Numbers with exactly n prime factors counted with multiplicity."""
 
+    head, sig = "level", "z"
     n: int
 
     def __post_init__(self):
@@ -103,6 +131,7 @@ class Level(SetExpr):
 class PrimesIdx(SetExpr):
     """{i-th prime : i == r (mod m)}, 1-based prime index, 1 <= r <= m."""
 
+    head, sig = "primesIdx", "nn"
     r: int
     m: int
 
@@ -115,6 +144,7 @@ class PrimesIdx(SetExpr):
 class PrimesGeom(SetExpr):
     """{i-th prime : i = c*q^t, t >= 0}, c >= 1, q >= 2."""
 
+    head, sig = "primesGeom", "nn"
     c: int
     q: int
 
@@ -127,6 +157,7 @@ class PrimesGeom(SetExpr):
 class PowSet(SetExpr):
     """{x^n : x in base}."""
 
+    head, sig = "pow", "en"
     base: SetExpr
     n: int
 
@@ -139,6 +170,7 @@ class PowSet(SetExpr):
 class ProdSet(SetExpr):
     """{x_1*...*x_k : x_i in args[i], pairwise distinct}, k >= 1."""
 
+    head, sig = "prodset", "e+"
     args: tuple[SetExpr, ...]
 
     def __post_init__(self):
@@ -148,17 +180,20 @@ class ProdSet(SetExpr):
 
 @dataclass(frozen=True, repr=False)
 class Comp(SetExpr):
+    head, sig = "comp", "e"
     inner: SetExpr
 
 
 @dataclass(frozen=True, repr=False)
 class Union(SetExpr):
+    head, sig = "union", "ee"
     left: SetExpr
     right: SetExpr
 
 
 @dataclass(frozen=True, repr=False)
 class Inter(SetExpr):
+    head, sig = "inter", "ee"
     left: SetExpr
     right: SetExpr
 
@@ -167,14 +202,17 @@ class Inter(SetExpr):
 class Up(SetExpr):
     """Upward closure under divisibility: {m : some a in inner divides m}."""
 
+    head, sig = "up", "e"
     inner: SetExpr
 
 
 @dataclass(frozen=True, repr=False)
 class Down(SetExpr):
     """Downward closure: {m : m divides some a in inner}. Semi-decidable;
-    decided when inner is a literal set or empty."""
+    decided when inner is an explicit set (a literal, empty, or a union,
+    intersection or scale of explicit sets)."""
 
+    head, sig = "down", "e"
     inner: SetExpr
 
 
@@ -182,6 +220,7 @@ class Down(SetExpr):
 class Quot(SetExpr):
     """inner/n = {m : m*n in inner}."""
 
+    head, sig = "quot", "en"
     inner: SetExpr
     n: int
 
@@ -194,6 +233,7 @@ class Quot(SetExpr):
 class Scale(SetExpr):
     """n*inner = {n*e : e in inner}."""
 
+    head, sig = "scale", "en"
     inner: SetExpr
     n: int
 
@@ -208,16 +248,59 @@ EMPTY = Empty()
 FACTORIALS = Factorials()
 
 
+# (field, kind) pairs of each node class, read from its sig: "e", "n" or
+# "z", or "e+" and "n+" for a repeated last kind
+_ARGS = {cls: tuple(zip(cls.__match_args__, re.findall(r".\+?", cls.sig))) for cls in NODE_CLASSES}
+_BY_HEAD = {cls.head: cls for cls in NODE_CLASSES}
+
+
+def _brackets(head: str) -> tuple[str, str]:
+    return ("{", "}") if head == "{" else (head + "(", ")")
+
+
+def _args(e: SetExpr) -> tuple[tuple[str, str], ...]:
+    try:
+        return _ARGS[type(e)]
+    except KeyError:
+        # not {e!r}: repr renders, which would land here again
+        raise TypeError(f"unknown node {type(e).__name__}") from None
+
+
+def usage(cls: type[SetExpr]) -> str:
+    """The form of cls with placeholders, as in quot(e,n) or prodset(e,...):
+    an expression shows as e, a natural as its field's name."""
+    if not cls.sig:
+        return cls.head
+    opener, closer = _brackets(cls.head)
+    parts = [kind[0] + ",..." if kind[-1] == "+" else "e" if kind == "e" else name
+             for name, kind in _ARGS[cls]]
+    return opener + ",".join(parts) + closer
+
+
 def children(e: SetExpr) -> tuple[SetExpr, ...]:
-    if isinstance(e, (Comp, Up, Down, Quot, Scale)):
-        return (e.inner,)
-    if isinstance(e, (Union, Inter)):
-        return (e.left, e.right)
-    if isinstance(e, PowSet):
-        return (e.base,)
-    if isinstance(e, ProdSet):
-        return e.args
-    return ()
+    kids: tuple[SetExpr, ...] = ()
+    for name, kind in _args(e):
+        if kind == "e":
+            kids += (getattr(e, name),)
+        elif kind == "e+":
+            kids += getattr(e, name)
+    return kids
+
+
+def map_children(e: SetExpr, f: Callable[[SetExpr], SetExpr]) -> SetExpr:
+    """e with f applied to each expression child; e itself when it has none."""
+    args = _args(e)
+    if "e" not in e.sig:
+        return e
+    values = []
+    for name, kind in args:
+        value = getattr(e, name)
+        if kind == "e":
+            value = f(value)
+        elif kind == "e+":
+            value = tuple(map(f, value))
+        values.append(value)
+    return type(e)(*values)
 
 
 def node_count(e: SetExpr) -> int:
@@ -237,43 +320,19 @@ def contains_down(e: SetExpr) -> bool:
 
 def render(e: SetExpr) -> str:
     """Canonical text form; parse(render(e)) == e for grammar expressions."""
-    if isinstance(e, Nat):
-        return "N"
-    if isinstance(e, Primes):
-        return "P"
-    if isinstance(e, Empty):
-        return "empty"
-    if isinstance(e, Factorials):
-        return "factorials"
-    if isinstance(e, Lit):
-        return "{" + ",".join(str(x) for x in sorted(e.elements)) + "}"
-    if isinstance(e, Mult):
-        return f"mult({e.n})"
-    if isinstance(e, Level):
-        return f"level({e.n})"
-    if isinstance(e, PrimesIdx):
-        return f"primesIdx({e.r},{e.m})"
-    if isinstance(e, PrimesGeom):
-        return f"primesGeom({e.c},{e.q})"
-    if isinstance(e, PowSet):
-        return f"pow({render(e.base)},{e.n})"
-    if isinstance(e, ProdSet):
-        return "prodset(" + ",".join(render(a) for a in e.args) + ")"
-    if isinstance(e, Comp):
-        return f"comp({render(e.inner)})"
-    if isinstance(e, Union):
-        return f"union({render(e.left)},{render(e.right)})"
-    if isinstance(e, Inter):
-        return f"inter({render(e.left)},{render(e.right)})"
-    if isinstance(e, Up):
-        return f"up({render(e.inner)})"
-    if isinstance(e, Down):
-        return f"down({render(e.inner)})"
-    if isinstance(e, Quot):
-        return f"quot({render(e.inner)},{e.n})"
-    if isinstance(e, Scale):
-        return f"scale({render(e.inner)},{e.n})"
-    raise TypeError(f"unknown node {e!r}")
+    parts = []
+    for name, kind in _args(e):
+        value = getattr(e, name)
+        if kind == "e":
+            parts.append(render(value))
+        elif kind[-1] == "+":
+            parts.extend(map(render, value) if kind == "e+" else map(str, sorted(value)))
+        else:
+            parts.append(str(value))
+    if not parts:
+        return e.head
+    opener, closer = _brackets(e.head)
+    return opener + ",".join(parts) + closer
 
 
 class _Parser:
@@ -299,7 +358,7 @@ class _Parser:
             raise self.error(f"expected {ch!r}")
         self.pos += 1
 
-    def nat(self) -> int:
+    def nat(self, least: int = 1) -> int:
         self.skip_ws()
         start = self.pos
         # ASCII digits only: str.isdigit() also accepts digits int() refuses
@@ -312,7 +371,7 @@ class _Parser:
         except ValueError:  # more digits than the interpreter converts
             self.pos = start
             raise self.error("natural number has too many digits") from None
-        if value < 1:
+        if value < least:
             self.pos = start
             raise self.error("naturals start at 1")
         return value
@@ -335,100 +394,40 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def arg(self, kind: str) -> SetExpr | int:
+        if kind == "e":
+            return self.expr()
+        return self.nat(least=0 if kind == "z" else 1)
+
     def _node(self) -> SetExpr:
         self.skip_ws()
-        if self.peek() == "{":
-            self.expect("{")
-            elems = [self.nat()]
-            while self.peek() == ",":
-                self.expect(",")
-                elems.append(self.nat())
-            self.expect("}")
-            return Lit(frozenset(elems))
         start = self.pos
-        head = self.word()
-        if head == "N":
-            return N
-        if head == "P":
-            return P
-        if head == "empty":
-            return EMPTY
-        if head == "factorials":
-            return FACTORIALS
+        head = self.word() or ("{" if self.peek() == "{" else "")
+        cls = _BY_HEAD.get(head)
+        if cls is None:
+            self.pos = start
+            raise self.error(f"unknown expression head {head!r}" if head else "expected an expression")
+        if not cls.sig:
+            return cls()
+        opener, closer = _brackets(head)
         try:
-            if head == "mult":
-                return Mult(self._nat_args(1)[0])
-            if head == "level":
-                return Level(self._nat_args(1)[0])
-            if head == "primesIdx":
-                r, m = self._nat_args(2)
-                return PrimesIdx(r, m)
-            if head == "primesGeom":
-                c, q = self._nat_args(2)
-                return PrimesGeom(c, q)
-            if head == "pow":
-                self.expect("(")
-                base = self.expr()
-                self.expect(",")
-                n = self.nat()
-                self.expect(")")
-                return PowSet(base, n)
-            if head == "prodset":
-                self.expect("(")
-                args = [self.expr()]
-                while self.peek() == ",":
+            self.expect(opener[-1])
+            values = []
+            for _, kind in _ARGS[cls]:
+                if values:
                     self.expect(",")
-                    args.append(self.expr())
-                self.expect(")")
-                return ProdSet(tuple(args))
-            if head == "comp":
-                return Comp(self._expr_args(1)[0])
-            if head == "union":
-                left, right = self._expr_args(2)
-                return Union(left, right)
-            if head == "inter":
-                left, right = self._expr_args(2)
-                return Inter(left, right)
-            if head == "up":
-                return Up(self._expr_args(1)[0])
-            if head == "down":
-                return Down(self._expr_args(1)[0])
-            if head == "quot":
-                inner, n = self._expr_nat_args()
-                return Quot(inner, n)
-            if head == "scale":
-                inner, n = self._expr_nat_args()
-                return Scale(inner, n)
+                value = self.arg(kind[0])
+                if kind[-1] == "+":
+                    items = [value]
+                    while self.peek() == ",":
+                        self.expect(",")
+                        items.append(self.arg(kind[0]))
+                    value = tuple(items) if kind == "e+" else frozenset(items)
+                values.append(value)
+            self.expect(closer)
+            return cls(*values)
         except PreconditionError as exc:
             raise ParseError(str(exc), start) from exc
-        self.pos = start
-        raise self.error(f"unknown expression head {head!r}" if head else "expected an expression")
-
-    def _nat_args(self, count: int) -> list[int]:
-        self.expect("(")
-        args = [self.nat()]
-        for _ in range(count - 1):
-            self.expect(",")
-            args.append(self.nat())
-        self.expect(")")
-        return args
-
-    def _expr_args(self, count: int) -> list[SetExpr]:
-        self.expect("(")
-        args = [self.expr()]
-        for _ in range(count - 1):
-            self.expect(",")
-            args.append(self.expr())
-        self.expect(")")
-        return args
-
-    def _expr_nat_args(self) -> tuple[SetExpr, int]:
-        self.expect("(")
-        inner = self.expr()
-        self.expect(",")
-        n = self.nat()
-        self.expect(")")
-        return inner, n
 
 
 def parse_expr(text: str) -> SetExpr:

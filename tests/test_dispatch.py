@@ -1,6 +1,6 @@
-"""The evaluator's dispatch table, the structural-facts pass over every node
-class, and the harness's L2.1b refutation check against the code it
-replaced, kept here as the reference."""
+"""The evaluator's dispatch table, the grammar table and the structural-facts
+pass over every node class, and the harness's L2.1b refutation check
+against the code it replaced, kept here as the reference."""
 
 import random
 
@@ -11,7 +11,16 @@ from hypothesis import strategies as st
 from divfilters import arith
 from divfilters.harness import _brute_refutation, _sample_prime_sets
 from divfilters.semantics import _HANDLERS, Facts, enumerate_upto, facts, member
-from divfilters.setexpr import PrimesIdx, SetExpr, Up, parse_expr
+from divfilters.setexpr import (
+    NODE_CLASSES,
+    PrimesIdx,
+    SetExpr,
+    Up,
+    children,
+    parse_expr,
+    render,
+    usage,
+)
 
 BUDGET = 10**4
 
@@ -29,6 +38,14 @@ def _node_classes() -> set[type]:
 def test_every_node_class_has_a_handler():
     assert set(_HANDLERS) == _node_classes()
     assert len(_HANDLERS) == 18
+
+
+def test_every_node_class_has_a_grammar_entry():
+    assert set(NODE_CLASSES) == _node_classes()
+    assert len({cls.head for cls in NODE_CLASSES}) == len(NODE_CLASSES)
+    for cls in NODE_CLASSES:
+        assert len(cls.sig.rstrip("+")) == len(cls.__match_args__), cls
+        assert usage(cls).startswith(cls.head), cls
 
 
 def test_node_classes_are_final():
@@ -49,6 +66,10 @@ def test_unknown_node_raises_type_error():
         facts(Stranger())
     with pytest.raises(TypeError, match="unknown node"):
         facts(Up(Stranger()))
+    with pytest.raises(TypeError, match="unknown node"):
+        render(Up(Stranger()))
+    with pytest.raises(TypeError, match="unknown node"):
+        children(Stranger())
 
 
 def test_facts_has_a_rule_for_every_node_class():

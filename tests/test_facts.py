@@ -5,10 +5,17 @@ reference: facts(e) must equal them field for field, on the corpus and on
 generated expressions wrapped in every combinator.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 
 from strategies import wide_exprs
 
+import divfilters
 from divfilters import load_corpus
 from divfilters.antichain import is_n_free
 from divfilters.arith import is_prime
@@ -253,3 +260,24 @@ def test_undecided_primality_is_no_rule():
         assert v.state is ProofState.REFUTED
         assert v.certificate.covers == {2, big} and v.certificate.structural
     assert syntactic_cover(e) == {2, big}
+
+
+def test_big_literal_leaves_the_sieve_small():
+    # a fresh process, so the sieve starts at its initial size
+    script = (
+        "from divfilters import arith\n"
+        "from divfilters.semantics import is_upward_closed\n"
+        "from divfilters.setexpr import lit\n"
+        "is_upward_closed(lit(1000036000099), 10**4)\n"
+        "print(arith._SIEVE.limit)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(divfilters.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert int(out) < 10**6
+    nfree = subprocess.run(
+        [sys.executable, "-m", "divfilters.cli", "nfree", "union({1000036000099},mult(2))", "--json"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert nfree.returncode == 1
+    assert json.loads(nfree.stdout)["certificate"]["covers"] == [2, 1000036000099]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from divfilters import load_corpus
 from divfilters.errors import ParseError
@@ -13,10 +14,12 @@ from divfilters.setexpr import (
     PrimesIdx,
     Up,
     depth,
+    map_children,
     node_count,
     parse_expr,
     render,
 )
+from strategies import wide_exprs
 
 
 def test_parse_simple_atoms():
@@ -106,3 +109,78 @@ def test_expression_past_max_depth_is_a_parse_error():
     assert exc.value.position == 5 * MAX_DEPTH
     with pytest.raises(ParseError):
         parse_expr("prodset(N," + _nested(MAX_DEPTH - 1) + ")")
+
+
+@given(wide_exprs)
+@settings(max_examples=300, deadline=None)
+def test_render_roundtrip_generated(e):
+    text = render(e)
+    assert parse_expr(text) == e
+    assert render(parse_expr(text)) == text
+
+
+def test_level_zero_is_the_set_of_one():
+    assert parse_expr("level(0)") == Level(0)
+    assert parse_expr(" level( 00 ) ") == Level(0)
+    assert render(Level(0)) == "level(0)"
+    assert [m for m in range(1, 10) if member(Level(0), m).state.value == "proved"] == [1]
+
+
+@given(wide_exprs)
+@settings(max_examples=300, deadline=None)
+def test_map_children_identity(e):
+    assert map_children(e, lambda c: c) == e
+    # a node with no expression child comes back as itself
+    assert all(map_children(a, render) is a for a in (Mult(6), Level(0), Lit(frozenset({4}))))
+
+
+# Each malformed input with its message and offset, as the parser gave them
+# before the grammar became one table
+_MALFORMED = [
+    ("", "expected an expression", 0),
+    ("N(", "trailing input after expression", 1),
+    ("P P", "trailing input after expression", 2),
+    ("empty)", "trailing input after expression", 5),
+    ("factorials,", "trailing input after expression", 10),
+    ("{}", "expected a natural number", 1),
+    ("{0}", "naturals start at 1", 1),
+    ("{2,}", "expected a natural number", 3),
+    ("{2 3}", "expected '}'", 3),
+    ("mult(0)", "naturals start at 1", 5),
+    ("mult 6", "expected '('", 5),
+    ("mult(6", "expected ')'", 6),
+    ("level(-1)", "expected a natural number", 6),
+    ("level(1,2)", "expected ')'", 7),
+    ("primesIdx(5,4)", "primesIdx requires 1 <= r <= m", 0),
+    ("primesIdx(0,1)", "naturals start at 1", 10),
+    ("primesIdx(1)", "expected ','", 11),
+    ("primesGeom(1,1)", "primesGeom requires c >= 1 and q >= 2", 0),
+    ("primesGeom(0,2)", "naturals start at 1", 11),
+    ("pow(P)", "expected ','", 5),
+    ("pow(P,0)", "naturals start at 1", 6),
+    ("prodset()", "expected an expression", 8),
+    ("prodset(P,)", "expected an expression", 10),
+    ("comp(P,P)", "expected ')'", 6),
+    ("union(P)", "expected ','", 7),
+    ("inter(P,P", "expected ')'", 9),
+    ("up()", "expected an expression", 3),
+    ("down(P", "expected ')'", 6),
+    ("quot(P,0)", "naturals start at 1", 7),
+    ("scale(P,0)", "naturals start at 1", 8),
+    ("scale(mult(2),x)", "expected a natural number", 14),
+    ("foo(1)", "unknown expression head 'foo'", 0),
+    ("inter(Up(N),P)", "unknown expression head 'Up'", 6),
+    ("mult(6) x", "trailing input after expression", 8),
+    ("mult(\u00b2)", "expected a natural number", 5),
+    ("{\u0661}", "expected a natural number", 1),
+    ("mult(" + "1" * 5000 + ")", "natural number has too many digits", 5),
+    ("comp(" * MAX_DEPTH + "N" + ")" * MAX_DEPTH,
+     f"expression nested deeper than {MAX_DEPTH} levels", 5 * MAX_DEPTH),
+]
+
+
+@pytest.mark.parametrize("text,message,offset", _MALFORMED, ids=[t[:16] for t, _, _ in _MALFORMED])
+def test_malformed_input_message_and_offset(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_expr(text)
+    assert (str(exc.value), exc.value.position) == (f"{message} (at offset {offset})", offset)
