@@ -32,12 +32,11 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 from . import arith
 from .errors import IncompleteEnumerationError, PreconditionError
+from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     enumerate_upto,
@@ -49,14 +48,11 @@ from .setexpr import SetExpr, render
 from .verdict import Verdict, proved, refuted, unknown
 
 
-@dataclass(frozen=True)
-class AntichainCertificate:
+class AntichainCertificate(Record):
     """A verified pairwise-coprime subset of the host expression."""
 
-    witness: tuple[int, ...]
-    host: SetExpr
-    bound: int
-    mode: str = "exact"
+    __slots__ = ("witness", "host", "bound", "mode")
+    _defaults = {"mode": "exact"}
 
     @property
     def contains_one(self) -> bool:
@@ -72,18 +68,15 @@ class AntichainCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CoveringCertificate:
+class CoveringCertificate(Record):
     """A finite set of moduli >= 2 covering the host's members.
 
     structural=True means the cover is proved for the whole set, not just
     for the members seen up to verified_bound.
     """
 
-    covers: frozenset[int]
-    host: SetExpr
-    verified_bound: int
-    structural: bool = False
+    __slots__ = ("covers", "host", "verified_bound", "structural")
+    _defaults = {"structural": False}
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +150,7 @@ def max_strong_antichain(
     e: SetExpr,
     limit: int,
     mode: str = "exact",
-    budget: Optional[int] = None,
+    budget: int | None = None,
 ) -> tuple[int, AntichainCertificate]:
     """Largest (exact) or maximal (greedy) pairwise-coprime subset of the
     members of e up to `limit`."""
@@ -262,8 +255,8 @@ def _exact_antichain(
 
 
 def find_antichain_of_size(
-    e: SetExpr, size: int, limit: int, budget: Optional[int] = None
-) -> Optional[AntichainCertificate]:
+    e: SetExpr, size: int, limit: int, budget: int | None = None
+) -> AntichainCertificate | None:
     """Greedily grow a pairwise-coprime subset of e up to `size`, scanning
     members ascending; stops at the first success."""
     budget = max(budget or DEFAULT_BUDGET, limit)
@@ -286,8 +279,8 @@ def covering_witness(
     k_max: int,
     n_max: int,
     limit: int,
-    budget: Optional[int] = None,
-) -> Optional[CoveringCertificate]:
+    budget: int | None = None,
+) -> CoveringCertificate | None:
     """Smallest (minimal k, then lexicographic) cover {n_1..n_k}, n_i in
     [2, n_max], validated against all members of e up to `limit`."""
     if min(k_max, n_max, limit) < 1:
@@ -348,8 +341,8 @@ def is_n_free(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def extend_antichain(
     e: SetExpr, x: set[int] | frozenset[int] | list[int], limit: int,
-    budget: Optional[int] = None,
-) -> Optional[int]:
+    budget: int | None = None,
+) -> int | None:
     """Least member of e up to `limit` coprime to every element of x."""
     _check_pairwise_coprime(x)
     budget = max(budget or DEFAULT_BUDGET, limit)
@@ -365,11 +358,8 @@ def extend_antichain(
     return None
 
 
-@dataclass(frozen=True)
-class LcmWitness:
-    a: int
-    b: int
-    value: int
+class LcmWitness(Record):
+    __slots__ = ("a", "b", "value")
 
     def to_json(self) -> dict:
         return {"a": self.a, "b": self.b, "lcm": self.value}
@@ -380,8 +370,8 @@ def lcm_extension(
     b_expr: SetExpr,
     x: set[int] | frozenset[int] | list[int],
     limit: int,
-    budget: Optional[int] = None,
-) -> Optional[LcmWitness]:
+    budget: int | None = None,
+) -> LcmWitness | None:
     """Extend the pairwise-coprime set x inside the intersection of two
     upward-closed sets: pick least a in A and b in B coprime to x and return
     lcm(a, b), which lies in both by upward closure."""

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
 
 from .errors import BudgetExceededError, PreconditionError
+from .record import Record
 
 # Values above SIEVE_CAP**2 cannot be factored by trial division over the
 # sieved primes and are rejected with an explicit error.
@@ -148,18 +148,16 @@ class _Sieve:
 _SIEVE = _Sieve()
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization of a natural number >= 1.
 
     factors is an ascending tuple of (prime, exponent) pairs with distinct
     primes; the empty tuple encodes value == 1.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("value", "factors")
 
-    def __post_init__(self):
+    def _check(self):
         prod = 1
         for p, e in self.factors:
             prod *= p**e

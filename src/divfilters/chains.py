@@ -12,12 +12,11 @@ contains the upward closure of a family member at or above its index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from . import arith
 from .errors import BudgetExceededError, FilterConstructionError, PreconditionError
 from .filters import FilterPresentation, divides_tilde, make_filter, principal
+from .record import Record
 from .semantics import DEFAULT_BUDGET, member
 from .setexpr import (
     Inter,
@@ -87,7 +86,7 @@ def _pair_almost_disjoint(a: SetExpr, b: SetExpr) -> bool:
     return False
 
 
-def verify_almost_disjoint(family: list[SetExpr]) -> Optional[str]:
+def verify_almost_disjoint(family: list[SetExpr]) -> str | None:
     """None if the family is structurally verified almost disjoint,
     otherwise a diagnostic naming the offending pair."""
     for i, a in enumerate(family):
@@ -99,13 +98,11 @@ def verify_almost_disjoint(family: list[SetExpr]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class ChainSpec:
-    length: int
-    family: tuple[SetExpr, ...]
-    links: tuple[FilterPresentation, ...]  # length + 1 filters
-    prime_filters: tuple[FilterPresentation, ...]
-    scheme: str = "custom"
+class ChainSpec(Record):
+    """A chain of filters: links holds length + 1 filters."""
+
+    __slots__ = ("length", "family", "links", "prime_filters", "scheme")
+    _defaults = {"scheme": "custom"}
 
     def to_json(self) -> dict:
         return {
@@ -118,7 +115,7 @@ class ChainSpec:
 
 def build_chain(
     k: int,
-    family: Optional[list[SetExpr]] = None,
+    family: list[SetExpr] | None = None,
     scheme: str = "residue",
     budget: int = DEFAULT_BUDGET,
 ) -> ChainSpec:
@@ -143,13 +140,10 @@ def build_chain(
     return ChainSpec(k, tuple(used), tuple(links), tuple(prime_filters), scheme)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    beta: int
-    alpha: int
-    expectation: str  # "divides" | "omits"
-    verdict: Verdict
-    ok: bool
+class PairResult(Record):
+    """expectation is "divides" or "omits"."""
+
+    __slots__ = ("beta", "alpha", "expectation", "verdict", "ok")
 
     def to_json(self) -> dict:
         out = {
@@ -162,10 +156,8 @@ class PairResult:
         return out
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    pairs: tuple[PairResult, ...]
-    passed: bool
+class ChainReport(Record):
+    __slots__ = ("pairs", "passed")
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "pairs": [p.to_json() for p in self.pairs]}
@@ -173,7 +165,7 @@ class ChainReport:
 
 def _avoiding_product_witness(
     chain: ChainSpec, alpha: int, beta: int, limit: int
-) -> Optional[int]:
+) -> int | None:
     """A core element of link alpha with no divisor in family member beta:
     the product of one fresh prime per earlier family member, each chosen
     outside member beta."""
@@ -202,7 +194,7 @@ def _avoiding_product_witness(
     return product
 
 
-def verify_chain(chain: ChainSpec, limit: int = 10**6, budget: Optional[int] = None) -> ChainReport:
+def verify_chain(chain: ChainSpec, limit: int = 10**6, budget: int | None = None) -> ChainReport:
     """Check both halves of the chain invariant for every index pair."""
     budget = budget or DEFAULT_BUDGET
     results: list[PairResult] = []

@@ -6,26 +6,18 @@ proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 = UnknownAtBound,
 stderr). A crash never exits 0, 1 or 2.
 """
 
+# Start-up is part of every query's latency, so only the modules that the
+# parser and the expression commands need are imported here; the commands
+# on filters, antichains, chains and the harness import theirs when they run.
+
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import arith
-from .antichain import covering_witness, is_n_free, max_strong_antichain
-from .chains import build_chain, verify_chain
-from .corpus import load_corpus
 from .errors import DivfiltersError, ParseError, PreconditionError
-from .filters import (
-    d_member,
-    divides_tilde,
-    interpolation_check,
-    parse_filter_spec,
-    product_member,
-)
-from .harness import LEMMA_IDS, HarnessParams, run_harness
 from .semantics import DEFAULT_BUDGET, enumerate_upto, is_upward_closed, member
 from .setexpr import NODE_CLASSES, parse_expr, render, usage
 from .verdict import SCHEMA_VERSION, Verdict
@@ -50,6 +42,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64 instead of argparse's 2
         raise _UsageError(message)
 
+    def format_help(self):
+        # the harness's suite ids are read only when its help is shown, so
+        # that no other command imports harness
+        for action in self._actions:
+            if action.metavar == "LEMMA":
+                from .harness import LEMMA_IDS
+
+                action.help = f"suite ids, default all: {', '.join(LEMMA_IDS)}"
+        return super().format_help()
+
 
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
@@ -69,7 +71,7 @@ def _verdict_exit(v: Verdict) -> int:
     return EXIT_UNKNOWN
 
 
-def _emit_verdict(v: Verdict, as_json: bool, extra: Optional[dict] = None) -> int:
+def _emit_verdict(v: Verdict, as_json: bool, extra: dict | None = None) -> int:
     payload = dict(extra or {})
     payload.update(v.to_json())
     _emit(payload, as_json)
@@ -146,7 +148,7 @@ def build_parser() -> _Parser:
 
     p = add("harness", help="run lemma-verification suites")
     p.add_argument("lemmas", nargs="*", metavar="LEMMA",
-                   help=f"suite ids, default all: {', '.join(LEMMA_IDS)}")
+                   help="suite ids, default all")  # listed by format_help
     p.add_argument("--bound", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corpus", help="corpus file, or 'default'")
@@ -186,6 +188,8 @@ def _run(args: argparse.Namespace) -> int:
             {"expr": args.expr})
 
     if cmd == "antichain":
+        from .antichain import max_strong_antichain
+
         mode = "greedy" if args.greedy else "exact"
         size, cert = max_strong_antichain(
             parse_expr(args.expr), args.bound, mode=mode, budget=budget)
@@ -193,6 +197,8 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_PROVED
 
     if cmd == "cover":
+        from .antichain import covering_witness
+
         cert = covering_witness(
             parse_expr(args.expr), args.k_max, args.n_max, args.bound, budget)
         if cert is None:
@@ -203,16 +209,22 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_PROVED
 
     if cmd == "nfree":
+        from .antichain import is_n_free
+
         return _emit_verdict(is_n_free(parse_expr(args.expr), budget),
                              as_json, {"expr": args.expr})
 
     if cmd == "divides":
+        from .filters import divides_tilde, parse_filter_spec
+
         f = parse_filter_spec(args.f, budget)
         g = parse_filter_spec(args.g, budget)
         return _emit_verdict(divides_tilde(f, g, budget), as_json,
                              {"f": f.spec_text(), "g": g.spec_text()})
 
     if cmd == "product-member":
+        from .filters import parse_filter_spec, product_member
+
         f = parse_filter_spec(args.f, budget)
         g = parse_filter_spec(args.g, budget)
         return _emit_verdict(
@@ -220,22 +232,30 @@ def _run(args: argparse.Namespace) -> int:
             {"f": f.spec_text(), "g": g.spec_text(), "expr": args.expr})
 
     if cmd == "d-member":
+        from .filters import d_member, parse_filter_spec
+
         f = parse_filter_spec(args.f, budget)
         return _emit_verdict(d_member(f, parse_expr(args.expr), budget),
                              as_json, {"f": f.spec_text(), "expr": args.expr})
 
     if cmd == "interp":
+        from .filters import interpolation_check, parse_filter_spec
+
         f = parse_filter_spec(args.f, budget)
         g = parse_filter_spec(args.g, budget)
         return _emit_verdict(interpolation_check(f, g, args.bound, budget),
                              as_json, {"f": f.spec_text(), "g": g.spec_text()})
 
     if cmd == "chain-build":
+        from .chains import build_chain
+
         chain = build_chain(args.k, scheme=args.scheme, budget=budget)
         _emit(chain.to_json(), as_json)
         return EXIT_PROVED
 
     if cmd == "chain-verify":
+        from .chains import build_chain, verify_chain
+
         chain = build_chain(args.k, scheme=args.scheme, budget=budget)
         report = verify_chain(chain, args.bound, budget)
         if as_json:
@@ -249,6 +269,9 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_PROVED if report.passed else EXIT_REFUTED
 
     if cmd == "harness":
+        from .corpus import load_corpus
+        from .harness import LEMMA_IDS, HarnessParams, run_harness
+
         lemmas = args.lemmas or None
         if lemmas:
             for lemma in lemmas:
@@ -284,7 +307,7 @@ def run_query(argv: list[str]) -> int:
     return main(argv)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

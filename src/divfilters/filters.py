@@ -25,11 +25,10 @@ UnknownAtBound where bounded search cannot decide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
 
 from . import arith
 from .errors import FilterConstructionError, ParseError, PreconditionError
+from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
@@ -61,13 +60,12 @@ from .setexpr import (
 from .verdict import Verdict, proved, refuted, three_valued_or, unknown
 
 
-@dataclass(frozen=True)
-class FilterPresentation:
-    kind: str  # "principal" | "generated"
-    core: SetExpr
-    point: Optional[int] = None
-    gens: tuple[SetExpr, ...] = ()
-    fip_witness: Optional[int] = None
+class FilterPresentation(Record):
+    """kind is "principal" or "generated"; point is set for a principal
+    filter and gens for a generated one."""
+
+    __slots__ = ("kind", "core", "point", "gens", "fip_witness")
+    _defaults = {"point": None, "gens": (), "fip_witness": None}
 
     @property
     def principal(self) -> bool:
@@ -97,7 +95,7 @@ def principal(n: int) -> FilterPresentation:
     return FilterPresentation("principal", Lit(frozenset({n})), point=n, fip_witness=n)
 
 
-def _structural_min_member(e: SetExpr) -> Optional[int]:
+def _structural_min_member(e: SetExpr) -> int | None:
     """A member of e found without scanning, when the shape admits one."""
     if isinstance(e, Nat):
         return 1
@@ -311,7 +309,7 @@ def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:
 
 def interpolation_check(
     f: FilterPresentation, g: FilterPresentation, limit: int,
-    budget: Optional[int] = None,
+    budget: int | None = None,
 ) -> Verdict:
     """Finite shadow of the interpolation property on cores: find
     a, b in core(F) and c in core(G) with a != c != b, a | c and c | b."""

@@ -40,9 +40,9 @@ budget).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
-from typing import NamedTuple, Optional
 
 from . import arith
 from .errors import PreconditionError
@@ -101,7 +101,7 @@ def _iroot(m: int, n: int) -> int:
         x = y
 
 
-def _is_factorial(m: int) -> Optional[int]:
+def _is_factorial(m: int) -> int | None:
     """Return k with k! == m, or None."""
     f, k = 1, 1
     while f < m:
@@ -112,20 +112,21 @@ def _is_factorial(m: int) -> Optional[int]:
 
 # --- structural facts ----------------------------------------------------------
 
-class Facts(NamedTuple):
+class Facts(namedtuple(
+    "Facts", "primes infinite finite up_closed antichain cover elements",
+    defaults=(False, False, False, False, False, None, None),
+)):
     """What the shape of an expression proves about the set it denotes.
 
-    Each flag is a proof when True and means "no rule applied" when False.
+    Each flag is a proof when True and means "no rule applied" when False:
+    primes, every member is prime; infinite; finite; up_closed, closed under
+    taking multiples; antichain, holds an infinite pairwise-coprime family.
+    cover is a finite set of naturals >= 2 such that every member has a
+    divisor in it, and elements the members of an explicit set; None when
+    no rule applies.
     """
 
-    primes: bool = False  # every member is prime
-    infinite: bool = False
-    finite: bool = False
-    up_closed: bool = False  # closed under taking multiples
-    antichain: bool = False  # holds an infinite pairwise-coprime family
-    # a finite set of naturals >= 2 such that every member has a divisor in it
-    cover: Optional[frozenset[int]] = None
-    elements: Optional[frozenset[int]] = None  # the members, for an explicit set
+    __slots__ = ()
 
 
 _PRIME_FACTS = Facts(primes=True, infinite=True, antichain=True)
@@ -207,7 +208,7 @@ def facts(e: SetExpr) -> Facts:
     )
 
 
-def syntactic_cover(e: SetExpr) -> Optional[frozenset[int]]:
+def syntactic_cover(e: SetExpr) -> frozenset[int] | None:
     """The structural cover of e (see Facts.cover); None if no rule applies."""
     return facts(e).cover
 
@@ -379,19 +380,23 @@ def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
         if any(exp != 1 for _, exp in fac.factors) or len(fac.factors) != k:
             return refuted(budget)
         primes = [p for p, _ in fac.factors]
-        matched = _match(primes, args, budget)
+        states = [[_member(a, p, budget).state for p in primes] for a in args]
+        matched = _match(primes, states, (_PROVED,))
         if matched is not None:
-            return proved(budget, tuple(matched))
+            return proved(budget, matched)
+        # a matching that needs an Unknown verdict may exist at a larger budget
+        if any(_UNKNOWN in row for row in states) and \
+                _match(primes, states, (_PROVED, _UNKNOWN)) is not None:
+            return unknown(budget)
         return refuted(budget)
     return _prodset_backtrack(args, m, budget)
 
 
-def _match(primes: list[int], args: tuple[SetExpr, ...], budget: int):
-    """Assign each argument set a distinct prime from `primes` (exact sets)."""
-    k = len(args)
-    accept = [
-        [p for p in primes if _member(args[i], p, budget).proved] for i in range(k)
-    ]
+def _match(primes: list[int], states: list[list[ProofState]], accepted: tuple):
+    """Assign each argument a distinct prime from `primes` whose verdict,
+    states[argument][prime index], is in `accepted`; None if none exists."""
+    k = len(states)
+    accept = [[p for p, s in zip(primes, row) if s in accepted] for row in states]
     order = sorted(range(k), key=lambda i: len(accept[i]))
     used: set[int] = set()
     chosen: dict[int, int] = {}
@@ -504,7 +509,7 @@ def _ones(limit: int) -> int:
     return _bits(b"\0" + b"\1" * limit)
 
 
-def _multiples(sources: bytearray, covered: Optional[bytearray] = None) -> bytearray:
+def _multiples(sources: bytearray, covered: bytearray | None = None) -> bytearray:
     """Every multiple of each d with sources[d] == 1. A d whose multiples
     are all marked already, or all lie in `covered`, is skipped."""
     limit = len(sources) - 1
@@ -746,7 +751,7 @@ def simplify(e: SetExpr) -> SetExpr:
     return e
 
 
-def _as_up(e: SetExpr) -> Optional[Up]:
+def _as_up(e: SetExpr) -> Up | None:
     """View e as an upward closure when one is syntactically evident."""
     if isinstance(e, Up):
         return e

@@ -18,13 +18,19 @@ by the tree-scheme almost-disjoint families; everything else follows the
 standard vocabulary.
 
 Each node class declares its syntax next to its fields: `head`, its grammar
-word ("{" for a literal set, whose arguments sit in braces), and `sig`, one
-argument kind per field: "e" an expression, "n" a natural >= 1, "z" a
-natural >= 0. A "+" after the last kind means one or more, held in a tuple
-of expressions or a frozenset of naturals. render, children, map_children,
-the parser and usage read only that declaration.
+word ("{" for a literal set, whose arguments sit in braces), `__slots__`,
+its fields in order, and `sig`, one argument kind per field: "e" an
+expression, "n" a natural >= 1, "z" a natural >= 0. A "+" after the last
+kind means one or more, held in a tuple of expressions or a frozenset of
+naturals. render, children, map_children, the parser and usage read only
+that declaration.
 
-Expressions are immutable; structural equality is syntactic only.
+Nodes are plain slotted classes built from the same declaration (see
+record.Record): construction takes the fields in order, assignment raises
+AttributeError, and two nodes are equal exactly when they have the same
+class and equal fields. Equality is syntactic only. A node's hash is
+computed on first use and kept in its _hash slot, so hashing it again, as
+every memo keyed by expressions does, costs the same at any depth.
 
 The parser accepts nesting up to MAX_DEPTH levels, as counted by depth():
 the evaluators and structural rules recurse once or twice per level, and a
@@ -35,10 +41,9 @@ interpreter's stack.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, ClassVar
 
 from .errors import ParseError, PreconditionError
+from .record import Record
 
 MAX_DEPTH = 200
 
@@ -46,55 +51,61 @@ MAX_DEPTH = 200
 NODE_CLASSES: list[type[SetExpr]] = []
 
 
-class SetExpr:
+class SetExpr(Record):
     """Base class for all expression nodes."""
 
-    __slots__ = ()
-    head: ClassVar[str]
-    sig: ClassVar[str] = ""
+    __slots__ = ("_hash",)
+    head: str  # set by every node class
+    sig = ""
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         NODE_CLASSES.append(cls)
 
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = hash(self._values())
+            object.__setattr__(self, "_hash", value)
+        return value
+
     def __repr__(self):
         return render(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Nat(SetExpr):
     """All of N."""
 
     head = "N"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Primes(SetExpr):
     """The set P of all primes."""
 
     head = "P"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Empty(SetExpr):
     head = "empty"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Factorials(SetExpr):
     """{n! : n in N}."""
 
     head = "factorials"
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
 class Lit(SetExpr):
     """An explicit finite set of naturals."""
 
     head, sig = "{", "n+"
-    elements: frozenset[int]
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
+    def _check(self):
         if any(not isinstance(x, int) or x < 1 for x in self.elements):
             raise PreconditionError("Lit elements must be naturals >= 1")
 
@@ -103,141 +114,121 @@ def lit(*elements: int) -> Lit:
     return Lit(frozenset(elements))
 
 
-@dataclass(frozen=True, repr=False)
 class Mult(SetExpr):
     """nN = {n*m : m in N}."""
 
     head, sig = "mult", "n"
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise PreconditionError("mult parameter must be >= 1")
 
 
-@dataclass(frozen=True, repr=False)
 class Level(SetExpr):
     """Numbers with exactly n prime factors counted with multiplicity."""
 
     head, sig = "level", "z"
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 0:
             raise PreconditionError("level parameter must be >= 0")
 
 
-@dataclass(frozen=True, repr=False)
 class PrimesIdx(SetExpr):
     """{i-th prime : i == r (mod m)}, 1-based prime index, 1 <= r <= m."""
 
     head, sig = "primesIdx", "nn"
-    r: int
-    m: int
+    __slots__ = ("r", "m")
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 1 or not (1 <= self.r <= self.m):
             raise PreconditionError("primesIdx requires 1 <= r <= m")
 
 
-@dataclass(frozen=True, repr=False)
 class PrimesGeom(SetExpr):
     """{i-th prime : i = c*q^t, t >= 0}, c >= 1, q >= 2."""
 
     head, sig = "primesGeom", "nn"
-    c: int
-    q: int
+    __slots__ = ("c", "q")
 
-    def __post_init__(self):
+    def _check(self):
         if self.c < 1 or self.q < 2:
             raise PreconditionError("primesGeom requires c >= 1 and q >= 2")
 
 
-@dataclass(frozen=True, repr=False)
 class PowSet(SetExpr):
     """{x^n : x in base}."""
 
     head, sig = "pow", "en"
-    base: SetExpr
-    n: int
+    __slots__ = ("base", "n")
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise PreconditionError("pow exponent must be >= 1")
 
 
-@dataclass(frozen=True, repr=False)
 class ProdSet(SetExpr):
     """{x_1*...*x_k : x_i in args[i], pairwise distinct}, k >= 1."""
 
     head, sig = "prodset", "e+"
-    args: tuple[SetExpr, ...]
+    __slots__ = ("args",)
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.args) < 1:
             raise PreconditionError("prodset needs at least one argument")
 
 
-@dataclass(frozen=True, repr=False)
 class Comp(SetExpr):
     head, sig = "comp", "e"
-    inner: SetExpr
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, repr=False)
 class Union(SetExpr):
     head, sig = "union", "ee"
-    left: SetExpr
-    right: SetExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, repr=False)
 class Inter(SetExpr):
     head, sig = "inter", "ee"
-    left: SetExpr
-    right: SetExpr
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True, repr=False)
 class Up(SetExpr):
     """Upward closure under divisibility: {m : some a in inner divides m}."""
 
     head, sig = "up", "e"
-    inner: SetExpr
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, repr=False)
 class Down(SetExpr):
     """Downward closure: {m : m divides some a in inner}. Semi-decidable;
     decided when inner is an explicit set (a literal, empty, or a union,
     intersection or scale of explicit sets)."""
 
     head, sig = "down", "e"
-    inner: SetExpr
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True, repr=False)
 class Quot(SetExpr):
     """inner/n = {m : m*n in inner}."""
 
     head, sig = "quot", "en"
-    inner: SetExpr
-    n: int
+    __slots__ = ("inner", "n")
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise PreconditionError("quot divisor must be >= 1")
 
 
-@dataclass(frozen=True, repr=False)
 class Scale(SetExpr):
     """n*inner = {n*e : e in inner}."""
 
     head, sig = "scale", "en"
-    inner: SetExpr
-    n: int
+    __slots__ = ("inner", "n")
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 1:
             raise PreconditionError("scale factor must be >= 1")
 
@@ -250,7 +241,7 @@ FACTORIALS = Factorials()
 
 # (field, kind) pairs of each node class, read from its sig: "e", "n" or
 # "z", or "e+" and "n+" for a repeated last kind
-_ARGS = {cls: tuple(zip(cls.__match_args__, re.findall(r".\+?", cls.sig))) for cls in NODE_CLASSES}
+_ARGS = {cls: tuple(zip(cls._fields, re.findall(r".\+?", cls.sig))) for cls in NODE_CLASSES}
 _BY_HEAD = {cls.head: cls for cls in NODE_CLASSES}
 
 
@@ -287,7 +278,7 @@ def children(e: SetExpr) -> tuple[SetExpr, ...]:
     return kids
 
 
-def map_children(e: SetExpr, f: Callable[[SetExpr], SetExpr]) -> SetExpr:
+def map_children(e: SetExpr, f) -> SetExpr:
     """e with f applied to each expression child; e itself when it has none."""
     args = _args(e)
     if "e" not in e.sig:

@@ -7,7 +7,6 @@ never flip them. UnknownAtBound records the budget at which search stopped.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Any
 
 # version tag of every JSON payload: CLI output and harness reports
 SCHEMA_VERSION = "divfilters/1"
@@ -28,7 +27,7 @@ class Verdict:
 
     __slots__ = ("state", "budget", "certificate")
 
-    def __init__(self, state: ProofState, budget: int, certificate: Any = None):
+    def __init__(self, state: ProofState, budget: int, certificate: object = None):
         self.state = state
         self.budget = budget
         self.certificate = certificate
@@ -67,15 +66,15 @@ class Verdict:
         return out
 
 
-def proved(budget: int, certificate: Any = None) -> Verdict:
+def proved(budget: int, certificate: object = None) -> Verdict:
     return Verdict(ProofState.PROVED, budget, certificate)
 
 
-def refuted(budget: int, certificate: Any = None) -> Verdict:
+def refuted(budget: int, certificate: object = None) -> Verdict:
     return Verdict(ProofState.REFUTED, budget, certificate)
 
 
-def unknown(budget: int, certificate: Any = None) -> Verdict:
+def unknown(budget: int, certificate: object = None) -> Verdict:
     return Verdict(ProofState.UNKNOWN, budget, certificate)
 
 

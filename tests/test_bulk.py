@@ -5,6 +5,7 @@ and certificate for certificate, what member() gives one m at a time. The
 pointwise scans and the old class bound are kept here as the references.
 """
 
+import math
 import random
 from functools import lru_cache
 
@@ -150,6 +151,19 @@ def test_down_of_an_explicit_set_is_decided(budget):
         assert ProofState.UNKNOWN not in states, text
         _check_oracle(e, states)
     assert _member(parse_expr("down(union({12},{18}))"), 5, 100).refuted
+
+
+def test_prime_product_with_an_unknown_factor_is_unknown():
+    # 143 = 11 * 13, and 11 lies in down(factorials) only through 11! > 10^4,
+    # so the first argument's verdict at 11 is Unknown at the default budget
+    e = parse_expr("prodset(inter(P,down(factorials)),P)")
+    assert _member(e, 143, BUDGET).unknown
+    v = _member(e, 143, math.factorial(11))
+    assert v.proved and v.certificate == (11, 13)
+    states = _bulk_states(e, 300, BUDGET)
+    assert states == _pointwise_states(e, 300, BUDGET)
+    assert states[143 - 1] is ProofState.UNKNOWN
+    _check_oracle(e, states)
 
 
 def test_evaluate_range_rejects_bad_bounds():

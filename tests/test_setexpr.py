@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +15,9 @@ from divfilters.setexpr import (
     Lit,
     Mult,
     PrimesIdx,
+    Quot,
+    Scale,
+    Union,
     Up,
     depth,
     map_children,
@@ -132,6 +138,43 @@ def test_map_children_identity(e):
     assert map_children(e, lambda c: c) == e
     # a node with no expression child comes back as itself
     assert all(map_children(a, render) is a for a in (Mult(6), Level(0), Lit(frozenset({4}))))
+
+
+@given(wide_exprs)
+@settings(max_examples=200, deadline=None)
+def test_equal_nodes_hash_equal(e):
+    again = parse_expr(render(e))
+    assert again == e and again is not e
+    assert hash(again) == hash(e)
+    assert {e: 1}[again] == 1
+
+
+def test_equality_needs_the_same_class_and_fields():
+    a, b = Mult(2), Lit(frozenset({3}))
+    assert Union(a, b) == Union(Mult(2), Lit(frozenset({3})))
+    assert Union(a, b) != Inter(a, b)
+    assert Union(a, b) != Union(b, a)
+    assert Mult(2) != Level(2)
+    assert Quot(a, 2) != Scale(a, 2)
+    assert Mult(2) != 2 and Mult(2) != (2,)
+
+
+def test_nodes_are_immutable():
+    e = Quot(Mult(4), 2)
+    for name, value in [("inner", Mult(2)), ("n", 3), ("_hash", 0), ("other", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(e, name, value)
+    with pytest.raises(AttributeError):
+        del e.inner
+    assert e == Quot(Mult(4), 2) and hash(e) == hash(Quot(Mult(4), 2))
+    with pytest.raises(AttributeError):
+        Mult(2).__dict__
+
+
+def test_nodes_survive_copy_and_pickle():
+    e = parse_expr("union(quot(mult(4),2),prodset(P,{2,3},level(0)))")
+    for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert again == e and hash(again) == hash(e)
 
 
 # Each malformed input with its message and offset, as the parser gave them
