@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import arith
 from .errors import FilterConstructionError, ParseError, PreconditionError
-from .record import Record
+from .record import Record, _set
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
@@ -62,14 +62,13 @@ from .verdict import Verdict, proved, refuted, three_valued_or, unknown
 
 class FilterPresentation(Record):
     """kind is "principal" or "generated"; point is set for a principal
-    filter and gens for a generated one."""
+    filter and gens for a generated one. principal is kind == "principal"."""
 
-    __slots__ = ("kind", "core", "point", "gens", "fip_witness")
+    __slots__ = ("kind", "core", "point", "gens", "fip_witness", "_principal")
     _defaults = {"point": None, "gens": (), "fip_witness": None}
 
-    @property
-    def principal(self) -> bool:
-        return self.kind == "principal"
+    def _check(self) -> None:
+        _set(self, "_principal", self.kind == "principal")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "core": render(self.core)}
@@ -87,6 +86,12 @@ class FilterPresentation(Record):
 
     def __repr__(self):
         return f"FilterPresentation({self.spec_text()})"
+
+
+# product_member reads the flag on every call, and a slot read costs a
+# fraction of a property that compares kind: the slot _principal, set by
+# _check, is also the class attribute principal
+FilterPresentation.principal = FilterPresentation._principal
 
 
 def principal(n: int) -> FilterPresentation:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import arith
@@ -48,6 +47,7 @@ from .filters import (
     product_member,
     scale_filter,
 )
+from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     enumerate_upto,
@@ -84,14 +84,12 @@ LEMMA_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class HarnessCase:
-    lemma_id: str
-    case_id: str
-    outcome: str  # "pass" | "fail" | "skipped"
-    parameters: dict = field(default_factory=dict)
-    detail: str = ""
-    replay: Optional[list[str]] = None  # CLI argv reproducing a failure
+class HarnessCase(Record):
+    """outcome is "pass", "fail" or "skipped"; replay is the CLI argv that
+    reproduces a failure."""
+
+    __slots__ = ("lemma_id", "case_id", "outcome", "parameters", "detail", "replay")
+    _defaults = {"detail": "", "replay": None}
 
     def to_json(self) -> dict:
         out = {
@@ -107,10 +105,8 @@ class HarnessCase:
         return out
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    cases: tuple[HarnessCase, ...]
-    seed: int
+class HarnessReport(Record):
+    __slots__ = ("cases", "seed")
 
     @property
     def counts(self) -> dict:
@@ -133,13 +129,10 @@ class HarnessReport:
         }
 
 
-@dataclass
-class HarnessParams:
-    bound: Optional[int] = None
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    corpus: Optional[list[SetExpr]] = None
-    k: Optional[int] = None
+class HarnessParams(Record):
+    __slots__ = ("bound", "budget", "seed", "corpus", "k")
+    _defaults = {"bound": None, "budget": DEFAULT_BUDGET, "seed": 0,
+                 "corpus": None, "k": None}
 
     def expressions(self) -> list[SetExpr]:
         exprs = self.corpus if self.corpus is not None else load_corpus()
@@ -226,15 +219,15 @@ def _brute_refutation(f_members: list[int], g_members: list[int],
     Returns the first such pair or None.
 
     B is a set of distinct primes, so n*b is divisible by none of them
-    exactly when it is coprime to their product."""
+    exactly when n and b are both coprime to their product. g_members is
+    ascending, so the pair, if any, has the first such b in core(G)."""
     radical = math.prod(b_set)
+    b = next((b for b in g_members if math.gcd(b, radical) == 1), None)
+    if b is None:
+        return None
     for n in f_members[:40]:
-        cap = bound // n
-        for b in g_members:
-            if b > cap:
-                break
-            if math.gcd(n * b, radical) == 1:
-                return (n, b)
+        if n * b <= bound and math.gcd(n, radical) == 1:
+            return (n, b)
     return None
 
 

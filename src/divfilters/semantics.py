@@ -72,6 +72,9 @@ from .setexpr import (
     map_children,
 )
 from .verdict import (
+    _PROVED,
+    _REFUTED,
+    _UNKNOWN,
     ProofState,
     Verdict,
     proved,
@@ -233,10 +236,6 @@ def _member(e: SetExpr, m: int, budget: int) -> Verdict:
 # One handler per node class, reached only through _member (see the module
 # docstring). Verdicts are mutable, so each handler builds a new one.
 
-_PROVED = ProofState.PROVED
-_REFUTED = ProofState.REFUTED
-_UNKNOWN = ProofState.UNKNOWN
-
 
 def _member_mult(e: Mult, m: int, budget: int) -> Verdict:
     return Verdict(_PROVED if m % e.n == 0 else _REFUTED, budget)
@@ -322,6 +321,16 @@ def _member_down(e: Down, m: int, budget: int) -> Verdict:
         if least is None:
             return Verdict(_REFUTED, budget)
         return Verdict(_PROVED, budget, least)
+    if type(e.inner) is Factorials:
+        # the first factorial divisible by m is the least multiple of m the
+        # scan below would find: walk the factorials up to the budget instead
+        f, k = 1, 1
+        while f <= budget:
+            if f % m == 0:
+                return Verdict(_PROVED, budget, f)
+            k += 1
+            f *= k
+        return Verdict(_UNKNOWN, budget)
     k = 1
     while k * m <= budget:
         if _member(e.inner, k * m, budget).state is _PROVED:

@@ -194,6 +194,32 @@ def test_down_of_a_literal_is_decided(budget):
     assert evaluate_range(empty, 1000, budget) == (bytearray(1001), bytearray(1001))
 
 
+def _down_scan(inner, m, budget):
+    """The scan over multiples k*m <= budget that _member_down makes for an
+    inner set with no fast path."""
+    k = 1
+    while k * m <= budget:
+        if member(inner, k * m, budget).proved:
+            return ("proved", k * m)
+        k += 1
+    return ("unknown-at-bound", None)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 6, 100, 720, 5040, 10**4])
+def test_down_of_factorials_walk_equals_the_scan(budget):
+    e = Down(FACTORIALS)
+    for m in range(1, 3001):
+        v = member(e, m, budget)
+        assert (v.state.value, v.certificate) == _down_scan(FACTORIALS, m, budget), m
+        assert v.budget == budget
+
+
+def test_down_of_factorials_reaches_a_large_factorial():
+    v = member(Down(FACTORIALS), 11, 39916800)
+    assert v.proved and v.certificate == 39916800
+    assert member(Down(FACTORIALS), 11, 39916799).unknown
+
+
 def test_down_of_a_finite_set_is_finite():
     members, complete = enumerate_upto(parse_expr("down({120,720})"), 100, BUDGET)
     assert complete and members == [m for m in range(1, 101) if 720 % m == 0]

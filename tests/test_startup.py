@@ -2,9 +2,11 @@
 
 Importing divfilters imports none of its modules; each exported name loads
 its module on first use. A one-shot member or factor query loads neither
-the dataclasses module nor the modules of the other commands.
+the dataclasses module nor the modules of the other commands; the harness
+command loads every module of the package but not dataclasses.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -102,3 +104,10 @@ def test_cold_member_and_factor_load_only_what_they_use():
         assert (code, out) == (0, text), argv
         assert "divfilters.semantics" in loaded, argv
         assert not heavy & loaded, (argv, heavy & loaded)
+
+
+def test_cold_harness_loads_no_dataclasses():
+    code, out, loaded = _cold_query(["harness", "T3.3", "--json"])
+    assert code == 0 and json.loads(out)["passed"] is True
+    assert "divfilters.harness" in loaded
+    assert "dataclasses" not in loaded
