@@ -43,6 +43,7 @@ from .semantics import (
     facts,
     is_upward_closed,
     member,
+    scan,
 )
 from .setexpr import SetExpr, render
 from .verdict import Verdict, proved, refuted, unknown
@@ -260,18 +261,24 @@ def find_antichain_of_size(
     """Greedily grow a pairwise-coprime subset of e up to `size`, scanning
     members ascending; stops at the first success."""
     budget = max(budget or DEFAULT_BUDGET, limit)
-    used: set[int] = set()
     chosen: list[int] = []
+    for m in _coprime_greedy(e, limit, budget):
+        chosen.append(m)
+        if len(chosen) >= size:
+            return AntichainCertificate(tuple(chosen), e, limit, "greedy")
+    return None
+
+
+def _coprime_greedy(e: SetExpr, limit: int, budget: int):
+    """Yield, ascending, each member of e up to `limit` coprime to all those
+    yielded before it. member() is asked only about an m coprime to them,
+    a sparse set, so this search stays pointwise."""
+    used: set[int] = set()
     for m in range(1, limit + 1):
         sup = arith.prime_support(m)
-        if not used.isdisjoint(sup):
-            continue
-        if member(e, m, budget).proved:
-            chosen.append(m)
+        if used.isdisjoint(sup) and member(e, m, budget).proved:
             used |= sup
-            if len(chosen) >= size:
-                return AntichainCertificate(tuple(chosen), e, limit, "greedy")
-    return None
+            yield m
 
 
 def covering_witness(
@@ -320,13 +327,7 @@ def is_n_free(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
         }
         return proved(budget, cert)
     scan_limit = min(budget, 10**3)
-    used: set[int] = set()
-    largest: list[int] = []
-    for m in range(1, scan_limit + 1):
-        sup = arith.prime_support(m)
-        if used.isdisjoint(sup) and member(e, m, budget).proved:
-            largest.append(m)
-            used |= sup
+    largest = list(_coprime_greedy(e, scan_limit, budget))
     best_cover = None
     try:
         best_cover = covering_witness(e, 3, 10, scan_limit, budget)
@@ -347,13 +348,12 @@ def extend_antichain(
     _check_pairwise_coprime(x)
     budget = max(budget or DEFAULT_BUDGET, limit)
     xs = sorted(x)
-    for m in range(1, limit + 1):
-        v = member(e, m, budget)
-        if v.unknown:
+    for m, is_proved in scan(e, limit, budget):
+        if not is_proved:
             raise IncompleteEnumerationError(
                 f"membership of {m} in {render(e)} is Unknown at budget {budget}"
             )
-        if v.proved and all(math.gcd(m, y) == 1 for y in xs):
+        if all(math.gcd(m, y) == 1 for y in xs):
             return m
     return None
 

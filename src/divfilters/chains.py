@@ -15,10 +15,11 @@ import math
 
 from . import arith
 from .errors import BudgetExceededError, FilterConstructionError, PreconditionError
-from .filters import FilterPresentation, divides_tilde, make_filter, principal
+from .filters import FilterPresentation, divides_tilde, make_filter, prime_product, principal
 from .record import Record
 from .semantics import DEFAULT_BUDGET, member
 from .setexpr import (
+    Comp,
     Inter,
     Lit,
     Mult,
@@ -163,37 +164,6 @@ class ChainReport(Record):
         return {"passed": self.passed, "pairs": [p.to_json() for p in self.pairs]}
 
 
-def _avoiding_product_witness(
-    chain: ChainSpec, alpha: int, beta: int, limit: int
-) -> int | None:
-    """A core element of link alpha with no divisor in family member beta:
-    the product of one fresh prime per earlier family member, each chosen
-    outside member beta."""
-    avoid = chain.family[beta]
-    used: set[int] = set()
-    product = 1
-    for source in chain.family[:alpha]:
-        pick = None
-        idx = 1
-        while True:
-            p = arith.nth_prime(idx)
-            if p > limit:
-                break
-            if (
-                p not in used
-                and member(source, p, limit).proved
-                and member(avoid, p, limit).refuted
-            ):
-                pick = p
-                break
-            idx += 1
-        if pick is None:
-            return None
-        used.add(pick)
-        product *= pick
-    return product
-
-
 def verify_chain(chain: ChainSpec, limit: int = 10**6, budget: int | None = None) -> ChainReport:
     """Check both halves of the chain invariant for every index pair."""
     budget = budget or DEFAULT_BUDGET
@@ -226,7 +196,12 @@ def _omission_verdict(
         if v.refuted:
             return refuted(budget, link.point)
         return v
-    witness = _avoiding_product_witness(chain, alpha, beta, limit)
+    # a core element of link alpha with no divisor in family member beta:
+    # one fresh prime per earlier family member, each outside member beta
+    outside = Comp(chain.family[beta])
+    witness = prime_product(
+        [Inter(source, outside) for source in chain.family[:alpha]], limit, limit
+    )
     if witness is None:
         return unknown(budget, "no avoiding product within limit")
     in_core = member(link.core, witness, budget)

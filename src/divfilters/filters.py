@@ -15,8 +15,8 @@ e itself when e is upward closed. For a principal H at h, the set A_H(e) =
 {m : e/m in H} is quot(e,h).
 
 The syntactic facts these operations consult (upward closed, a prime set,
-the elements of an explicit core) come from semantics.facts.
-_structural_min_member is not such a fact: it searches for a member.
+the elements of an explicit core) come from semantics.facts. The bounded
+searches run on semantics.scan.
 
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
@@ -35,6 +35,7 @@ from .semantics import (
     enumerate_upto,
     facts,
     member,
+    scan,
     structurally_subset,
 )
 from .setexpr import (
@@ -100,7 +101,29 @@ def principal(n: int) -> FilterPresentation:
     return FilterPresentation("principal", Lit(frozenset({n})), point=n, fip_witness=n)
 
 
-def _structural_min_member(e: SetExpr) -> int | None:
+def prime_product(
+    args: list[SetExpr] | tuple[SetExpr, ...], limit: int, budget: int
+) -> int | None:
+    """The product of one distinct prime per argument, for each in turn the
+    least p <= limit not taken yet that member(arg, p, budget) proves; None
+    if an argument has none. The sieve grows only as far as the walk goes."""
+    used: set[int] = set()
+    product = 1
+    for arg in args:
+        idx = 1
+        while True:
+            p = arith.nth_prime(idx)
+            if p > limit:
+                return None
+            if p not in used and member(arg, p, budget).proved:
+                break
+            idx += 1
+        used.add(p)
+        product *= p
+    return product
+
+
+def _structural_min_member(e: SetExpr, budget: int) -> int | None:
     """A member of e found without scanning, when the shape admits one."""
     if isinstance(e, Nat):
         return 1
@@ -115,30 +138,16 @@ def _structural_min_member(e: SetExpr) -> int | None:
     if isinstance(e, PrimesGeom):
         return arith.nth_prime(e.c)
     if isinstance(e, Up):
-        return _structural_min_member(e.inner)
+        return _structural_min_member(e.inner, budget)
     if isinstance(e, Scale):
-        inner = _structural_min_member(e.inner)
+        inner = _structural_min_member(e.inner, budget)
         return None if inner is None else e.n * inner
     if isinstance(e, PowSet):
-        inner = _structural_min_member(e.base)
+        inner = _structural_min_member(e.base, budget)
         return None if inner is None else inner**e.n
     if isinstance(e, ProdSet) and all(facts(a).primes for a in e.args):
-        used: set[int] = set()
-        product = 1
-        for arg in e.args:
-            pick = None
-            idx = 1
-            while idx <= 10**4:
-                p = arith.nth_prime(idx)
-                if p not in used and member(arg, p, DEFAULT_BUDGET).proved:
-                    pick = p
-                    break
-                idx += 1
-            if pick is None:
-                return None
-            used.add(pick)
-            product *= pick
-        return product
+        # up to the 10**4-th prime, written out so the sieve is not grown to it
+        return prime_product(e.args, 104_729, budget)
     return None
 
 
@@ -155,16 +164,14 @@ def make_filter(
     core = gens[0]
     for g in gens[1:]:
         core = Inter(core, g)
-    witness = _structural_min_member(core)
+    witness = _structural_min_member(core, budget)
     if witness is not None and member(core, witness, budget).proved:
         return FilterPresentation("generated", core, gens=gens, fip_witness=witness)
     saw_unknown = False
-    for m in range(1, budget + 1):
-        v = member(core, m, budget)
-        if v.proved:
+    for m, is_proved in scan(core, budget, budget):
+        if is_proved:
             return FilterPresentation("generated", core, gens=gens, fip_witness=m)
-        if v.unknown:
-            saw_unknown = True
+        saw_unknown = True
     if allow_unverified:
         return FilterPresentation("generated", core, gens=gens, fip_witness=None)
     if saw_unknown:
@@ -203,17 +210,14 @@ def filter_member(
     f: FilterPresentation, e: SetExpr, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Does the set denoted by e belong to the filter? (e belongs iff it
-    contains the core.)"""
+    contains the core.) The certificate of a refutation is the least core
+    member b <= budget that e refutes, the least Proved b of core - e."""
     if f.principal:
         return member(e, f.point, budget)
     if structurally_subset(f.core, e, budget):
         return proved(budget, "structural")
-    for b in range(1, budget + 1):
-        vb = member(f.core, b, budget)
-        if not vb.proved:
-            continue
-        ve = member(e, b, budget)
-        if ve.refuted:
+    for b, is_proved in scan(Inter(f.core, Comp(e)), budget, budget):
+        if is_proved:
             return refuted(budget, b)
     return unknown(budget)
 

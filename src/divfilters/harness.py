@@ -69,20 +69,6 @@ from .setexpr import (
 )
 from .verdict import SCHEMA_VERSION
 
-LEMMA_IDS = (
-    "L2.1a",
-    "L2.1b",
-    "T2.2",
-    "T3.3",
-    "L3.4-eq3",
-    "E3.5b",
-    "L3.7",
-    "T4.2",
-    "L5.3",
-    "T5.4ii",
-    "T5.5",
-)
-
 
 class HarnessCase(Record):
     """outcome is "pass", "fail" or "skipped"; replay is the CLI argv that
@@ -585,6 +571,7 @@ _SUITES: dict[str, Callable[[HarnessParams], list[HarnessCase]]] = {
     "T5.4ii": _suite_t54ii,
     "T5.5": _suite_t55,
 }
+LEMMA_IDS = tuple(_SUITES)
 
 
 def run_harness(

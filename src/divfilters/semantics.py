@@ -29,12 +29,19 @@ pair to _HANDLERS; add a rule to facts() and a branch to _range. A class
 missing from any of the three raises TypeError there.
 
 member() is the reference semantics. evaluate_range() gives the same states
-for every m in [1..L] at once, node by node over whole ranges, and backs the
-bounded scans of enumerate_upto, is_upward_closed and is_infinite. It falls
-back to member() for each m, over the range of that node, in two cases:
-a prodset node, and any node whose range would pass the sieve cap (a quot
+for every m in [1..L] at once, node by node over whole ranges. It falls back
+to member() for each m, over the range of that node, in two cases: a
+prodset node, and any node whose range would pass the sieve cap (a quot
 node reaches L*n, a down node over a set that is not explicit reaches the
 budget).
+
+evaluate_range backs every dense bounded scan: enumerate_upto and
+is_infinite over [1..L], and is_upward_closed and scan() over the windows
+of _windows, [1..w] for w = 64 growing fourfold up to L. A down node
+evaluates its inner set over [1..budget] in any window, so an expression
+with one is one window. scan() decides the make_filter fallback and
+filter_member (so divides_tilde, product_member and d_member) in filters,
+and extend_antichain in antichain.
 """
 
 from __future__ import annotations
@@ -650,34 +657,56 @@ def enumerate_upto(
     return list(compress(range(len(proved_)), proved_)), 1 not in unknown_
 
 
-# --- upward closedness ------------------------------------------------------
+# --- bounded scans ------------------------------------------------------------
+
+def _windows(e: SetExpr, limit: int):
+    """The window policy of the module docstring, for a scan of [1..limit]."""
+    window = limit if contains_down(e) else min(64, limit)
+    while True:
+        yield window
+        if window == limit:
+            return
+        window = min(4 * window, limit)
+
+
+def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
+    """Yield (m, proved), ascending, for each m <= limit that
+    member(e, m, budget) does not refute; proved is False for Unknown. A
+    caller that stops early evaluates no window past the one it stops in."""
+    if limit >= 1 and budget < 1:
+        raise PreconditionError("budget must be >= 1")
+    done = 0
+    for window in _windows(e, max(limit, 0)):
+        proved_, unknown_ = _range(e, window, budget)
+        live = _bytes(_bits(proved_) | _bits(unknown_), window)
+        m = live.find(1, done + 1)
+        while m != -1:
+            yield m, proved_[m] == 1
+            m = live.find(1, m + 1)
+        done = window
+
 
 def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Is the denoted set closed under taking multiples?"""
     if facts(e).up_closed:
         return proved(budget, "structural")
-    # The certificate is the first pair (m, km) in m-then-k order. Windows
-    # [1..w] grow fourfold up to the budget. A pair whose m is the least
-    # Proved member is final in any window; any other pair only in the
-    # whole range, where a smaller m may have a refuted multiple past w.
-    # A `down` node evaluates its inner set over [1..budget] in any window,
-    # so with one the whole range is scanned at once.
-    scan = max(budget, 0)
-    window = scan if contains_down(e) else min(64, scan)
-    while True:
+    # The certificate is the first pair (m, km) in m-then-k order, over the
+    # windows of _windows. A pair whose m is the least Proved member is
+    # final in any window; any other pair only in the whole range, where a
+    # smaller m may have a refuted multiple past the window.
+    limit = max(budget, 0)
+    for window in _windows(e, limit):
         proved_, unknown_ = _range(e, window, budget)
         refuted_ = _bytes(_ones(window) & ~(_bits(proved_) | _bits(unknown_)), window)
         least = m = proved_.find(1)
         while m != -1:
             i = refuted_[2 * m :: m].find(1)
             if i != -1:
-                if window == scan or m == least:
+                if window == limit or m == least:
                     return refuted(budget, (m, (i + 2) * m))
                 break
             m = proved_.find(1, m + 1)
-        if window == scan:
-            return unknown(budget)
-        window = min(4 * window, scan)
+    return unknown(budget)
 
 
 # --- infinitude -------------------------------------------------------------

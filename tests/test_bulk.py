@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracle import oracle_set
 from strategies import exprs, wide_exprs
 
-from divfilters import antichain, arith, load_corpus
+from divfilters import antichain, arith, load_corpus, semantics
 from divfilters.errors import PreconditionError
 from divfilters.semantics import (
     _member,
@@ -25,6 +25,7 @@ from divfilters.semantics import (
     facts,
     is_infinite,
     is_upward_closed,
+    scan,
 )
 from divfilters.setexpr import (
     Comp,
@@ -243,6 +244,42 @@ def test_upward_closed_certificate_past_the_first_window():
 @settings(max_examples=100, deadline=None)
 def test_generated_scans_equal_pointwise(e, budget):
     _check_scans(e, budget)
+
+
+def _reference_scan(e, limit, budget):
+    states = _pointwise_states(e, limit, budget)
+    return [(m, s is ProofState.PROVED)
+            for m, s in enumerate(states, start=1) if s is not ProofState.REFUTED]
+
+
+@given(wide_exprs, st.integers(0, 700), st.integers(1, 400))
+@settings(max_examples=100, deadline=None)
+def test_generated_window_scan_equals_pointwise(e, limit, budget):
+    # limits past 64 and 256 cross the first windows
+    assert list(scan(e, limit, budget)) == _reference_scan(e, limit, budget)
+
+
+def test_window_scan_evaluates_growing_windows(monkeypatch):
+    assert list(scan(Mult(2), 0, 0)) == []
+    with pytest.raises(PreconditionError):
+        next(scan(Mult(2), 1, 0))
+    windows = []
+    evaluate = semantics._range
+
+    def recording(e, limit, budget):
+        if e in tops:
+            windows.append(limit)
+        return evaluate(e, limit, budget)
+
+    monkeypatch.setattr(semantics, "_range", recording)
+    tops = (parse_expr("union(mult(7),{3})"), parse_expr("union(mult(7),down({3}))"))
+    plain, with_down = tops
+    assert next(scan(plain, BUDGET, BUDGET)) == (3, True) and windows == [64]
+    windows.clear()
+    assert len(list(scan(plain, BUDGET, BUDGET))) == BUDGET // 7 + 1
+    assert windows == [64, 256, 1024, 4096, BUDGET]
+    windows.clear()
+    assert next(scan(with_down, BUDGET, BUDGET)) == (1, True) and windows == [BUDGET]
 
 
 def _windowed_upward_closed(e, budget):

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from divfilters import arith
 from divfilters.harness import _brute_refutation, _sample_prime_sets
-from divfilters.semantics import _HANDLERS, Facts, enumerate_upto, facts, member
+from divfilters.semantics import (
+    _HANDLERS,
+    Facts,
+    enumerate_upto,
+    evaluate_range,
+    facts,
+    member,
+)
 from divfilters.setexpr import (
     NODE_CLASSES,
     PrimesIdx,
@@ -82,6 +89,10 @@ def test_facts_has_a_rule_for_every_node_class():
     assert set(samples) == _node_classes()
     for e in samples.values():
         assert isinstance(facts(e), Facts)
+        proved_, unknown_ = evaluate_range(e, 30, 100)
+        for m in range(1, 31):
+            v = member(e, m, 100)
+            assert (proved_[m], unknown_[m]) == (v.proved, v.unknown), (render(e), m)
 
 
 def _reference_refutation(f_members, g_members, b_set, bound):
