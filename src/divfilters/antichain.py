@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, islice
 
 from . import arith
 from .errors import IncompleteEnumerationError, PreconditionError
@@ -261,12 +261,9 @@ def find_antichain_of_size(
     """Greedily grow a pairwise-coprime subset of e up to `size`, scanning
     members ascending; stops at the first success."""
     budget = max(budget or DEFAULT_BUDGET, limit)
-    chosen: list[int] = []
-    for m in _coprime_greedy(e, limit, budget):
-        chosen.append(m)
-        if len(chosen) >= size:
-            return AntichainCertificate(tuple(chosen), e, limit, "greedy")
-    return None
+    size = max(size, 1)
+    chosen = tuple(islice(_coprime_greedy(e, limit, budget), size))
+    return AntichainCertificate(chosen, e, limit, "greedy") if len(chosen) == size else None
 
 
 def _coprime_greedy(e: SetExpr, limit: int, budget: int):

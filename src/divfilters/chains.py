@@ -196,12 +196,10 @@ def _omission_verdict(
         if v.refuted:
             return refuted(budget, link.point)
         return v
-    # a core element of link alpha with no divisor in family member beta:
     # one fresh prime per earlier family member, each outside member beta
     outside = Comp(chain.family[beta])
-    witness = prime_product(
-        [Inter(source, outside) for source in chain.family[:alpha]], limit, limit
-    )
+    sources = tuple(Inter(source, outside) for source in chain.family[:alpha])
+    witness = prime_product(sources, limit, limit)
     if witness is None:
         return unknown(budget, "no avoiding product within limit")
     in_core = member(link.core, witness, budget)

@@ -25,6 +25,8 @@ UnknownAtBound where bounded search cannot decide.
 
 from __future__ import annotations
 
+import math
+from itertools import count, takewhile
 
 from . import arith
 from .errors import FilterConstructionError, ParseError, PreconditionError
@@ -101,26 +103,18 @@ def principal(n: int) -> FilterPresentation:
     return FilterPresentation("principal", Lit(frozenset({n})), point=n, fip_witness=n)
 
 
-def prime_product(
-    args: list[SetExpr] | tuple[SetExpr, ...], limit: int, budget: int
-) -> int | None:
+def prime_product(args: tuple[SetExpr, ...], limit: int, budget: int) -> int | None:
     """The product of one distinct prime per argument, for each in turn the
     least p <= limit not taken yet that member(arg, p, budget) proves; None
     if an argument has none. The sieve grows only as far as the walk goes."""
     used: set[int] = set()
-    product = 1
     for arg in args:
-        idx = 1
-        while True:
-            p = arith.nth_prime(idx)
-            if p > limit:
-                return None
-            if p not in used and member(arg, p, budget).proved:
-                break
-            idx += 1
+        primes = takewhile(lambda p: p <= limit, map(arith.nth_prime, count(1)))
+        p = next((p for p in primes if p not in used and member(arg, p, budget).proved), None)
+        if p is None:
+            return None
         used.add(p)
-        product *= p
-    return product
+    return math.prod(used)
 
 
 def _structural_min_member(e: SetExpr, budget: int) -> int | None:
@@ -146,7 +140,7 @@ def _structural_min_member(e: SetExpr, budget: int) -> int | None:
         inner = _structural_min_member(e.base, budget)
         return None if inner is None else inner**e.n
     if isinstance(e, ProdSet) and all(facts(a).primes for a in e.args):
-        # up to the 10**4-th prime, written out so the sieve is not grown to it
+        # the 10**4-th prime, written out so the sieve is not grown to it
         return prime_product(e.args, 104_729, budget)
     return None
 
@@ -210,14 +204,13 @@ def filter_member(
     f: FilterPresentation, e: SetExpr, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Does the set denoted by e belong to the filter? (e belongs iff it
-    contains the core.) The certificate of a refutation is the least core
-    member b <= budget that e refutes, the least Proved b of core - e."""
+    contains the core.) A refutation names the least core member e refutes."""
     if f.principal:
         return member(e, f.point, budget)
     if structurally_subset(f.core, e, budget):
         return proved(budget, "structural")
-    for b, is_proved in scan(Inter(f.core, Comp(e)), budget, budget):
-        if is_proved:
+    for b, is_proved in scan(f.core, budget, budget):
+        if is_proved and member(e, b, budget).refuted:
             return refuted(budget, b)
     return unknown(budget)
 

@@ -35,13 +35,12 @@ prodset node, and any node whose range would pass the sieve cap (a quot
 node reaches L*n, a down node over a set that is not explicit reaches the
 budget).
 
-evaluate_range backs every dense bounded scan: enumerate_upto and
-is_infinite over [1..L], and is_upward_closed and scan() over the windows
-of _windows, [1..w] for w = 64 growing fourfold up to L. A down node
-evaluates its inner set over [1..budget] in any window, so an expression
-with one is one window. scan() decides the make_filter fallback and
-filter_member (so divides_tilde, product_member and d_member) in filters,
-and extend_antichain in antichain.
+evaluate_range backs the dense bounded scans: enumerate_upto and
+is_infinite over [1..L], is_upward_closed and scan() over windows [1..w],
+w = 64 growing fourfold up to L, or w = L with a down node (its inner set
+spans [1..budget] in any window). scan() asks member about each m instead
+where _range would only repeat that work: past the sieve cap, a down node
+with a budget past it, or a prodset node outside every up and down node.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
+    children,
     contains_down,
     map_children,
 )
@@ -662,21 +662,32 @@ def enumerate_upto(
 def _windows(e: SetExpr, limit: int):
     """The window policy of the module docstring, for a scan of [1..limit]."""
     window = limit if contains_down(e) else min(64, limit)
-    while True:
-        yield window
-        if window == limit:
-            return
+    yield window
+    while window < limit:
         window = min(4 * window, limit)
+        yield window
+
+
+def _no_shared_work(e: SetExpr) -> bool:
+    """Does e hold a prodset node, which _range evaluates at each m as member
+    does, outside every up and down node, which share those evaluations?"""
+    return isinstance(e, ProdSet) or (
+        not isinstance(e, (Up, Down)) and any(map(_no_shared_work, children(e))))
 
 
 def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
     """Yield (m, proved), ascending, for each m <= limit that
     member(e, m, budget) does not refute; proved is False for Unknown. A
-    caller that stops early evaluates no window past the one it stops in."""
+    caller that stops early evaluates nothing past the window it stops in."""
     if limit >= 1 and budget < 1:
         raise PreconditionError("budget must be >= 1")
+    cap = arith.DEFAULT_SIEVE_CAP
+    if (budget > cap and contains_down(e)) or _no_shared_work(e):
+        cap = 0  # the module docstring's cases for member alone
     done = 0
     for window in _windows(e, max(limit, 0)):
+        if window > cap:
+            break
         proved_, unknown_ = _range(e, window, budget)
         live = _bytes(_bits(proved_) | _bits(unknown_), window)
         m = live.find(1, done + 1)
@@ -684,6 +695,10 @@ def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
             yield m, proved_[m] == 1
             m = live.find(1, m + 1)
         done = window
+    for m in range(done + 1, limit + 1):
+        state = _member(e, m, budget).state
+        if state is not _REFUTED:
+            yield m, state is _PROVED
 
 
 def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:

@@ -282,6 +282,54 @@ def test_window_scan_evaluates_growing_windows(monkeypatch):
     assert next(scan(with_down, BUDGET, BUDGET)) == (1, True) and windows == [BUDGET]
 
 
+def test_window_scan_walks_pointwise_past_the_sieve_cap(monkeypatch):
+    # past the cap _range is pointwise, so the scan stops opening windows
+    # there and asks member about each further m once; a `down` node whose
+    # inner set reaches a budget past the cap opens none
+    monkeypatch.setattr(arith, "DEFAULT_SIEVE_CAP", 1000)
+    windows = []
+    evaluate = semantics._range
+
+    def recording(e, limit, budget):
+        if e in tops:
+            windows.append(limit)
+        return evaluate(e, limit, budget)
+
+    monkeypatch.setattr(semantics, "_range", recording)
+    tops = (parse_expr("union(mult(7),{3})"), parse_expr("union(mult(7),down(comp({1})))"))
+    plain, with_down = tops
+    for e in tops:
+        assert list(scan(e, 3000, 3000)) == _reference_scan(e, 3000, 3000)
+    assert windows == [64, 256]
+    windows.clear()
+    assert next(scan(with_down, 3000, 3000)) == (1, True) and windows == []
+    assert list(scan(with_down, 900, 900)) == _reference_scan(with_down, 900, 900)
+    assert windows == [900]
+
+
+def test_window_scan_walks_a_bare_prodset_pointwise(monkeypatch):
+    # a prodset outside every up and down is evaluated at each m by _range
+    # as by member, so the scan opens no window for it; under an up node
+    # the windows share its evaluations between multiples
+    windows = []
+    evaluate = semantics._range
+
+    def recording(e, limit, budget):
+        if e in tops:
+            windows.append(limit)
+        return evaluate(e, limit, budget)
+
+    monkeypatch.setattr(semantics, "_range", recording)
+    tops = (parse_expr("union(prodset({2,3},{5,7}),{1})"),
+            parse_expr("up(prodset({2,3},{5,7}))"))
+    bare, under_up = tops
+    for e in tops:
+        assert list(scan(e, 700, 700)) == _reference_scan(e, 700, 700)
+    assert windows == [64, 256, 700]
+    windows.clear()
+    assert next(scan(bare, 700, 700)) == (1, True) and windows == []
+
+
 def _windowed_upward_closed(e, budget):
     """is_upward_closed with windows [1..w] growing fourfold up to the budget
     for every expression, as before expressions with `down` were scanned in

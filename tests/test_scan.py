@@ -154,6 +154,18 @@ def test_min_member_walk_stops_at_the_10000th_prime():
     assert int(out) < 104_729
 
 
+def test_down_core_past_the_sieve_cap_stops_at_its_first_member():
+    # the scan walks a `down` node pointwise past the cap, so it stops at
+    # m = 1, as the old loop did, and never reaches prime_index past the cap
+    budget = 2 * 10**6
+    core = parse_expr("down(primesIdx(1,2))")
+    f = make_filter([core], budget)
+    assert f.fip_witness == _reference_fip_witness([core], budget) == 1
+    assert _same_verdict(filter_member(f, parse_expr("mult(2)"), budget), refuted(budget, 1))
+    assert divides_tilde(f, filters.principal(2), budget).proved
+    assert extend_antichain(core, {2}, 2000, budget) == 1
+
+
 # --- filter_member and the operations built on it -----------------------------
 
 def _reference_filter_member(f, e, budget):
