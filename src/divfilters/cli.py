@@ -53,6 +53,14 @@ class _Parser(argparse.ArgumentParser):
         return super().format_help()
 
 
+def _natural(text: str) -> int:
+    """The argparse type of every budget, bound and count: a natural >= 1,
+    written in ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a natural >= 1, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         payload = {"schema": SCHEMA_VERSION, **payload}
@@ -85,12 +93,12 @@ def build_parser() -> _Parser:
     def add(name: str, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
                        help="verdict search cap")
         return p
 
     p = add("factor", help="prime factorization")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
 
     p = add("member", help="three-valued membership of m in an expression")
     p.add_argument("expr")
@@ -98,23 +106,23 @@ def build_parser() -> _Parser:
 
     p = add("enumerate", help="members of an expression up to a bound")
     p.add_argument("expr")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
 
     p = add("upclosed", help="is the expression upward closed?")
     p.add_argument("expr")
 
     p = add("antichain", help="largest pairwise-coprime subset up to a bound")
     p.add_argument("expr")
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--greedy", action="store_true")
 
     p = add("cover", help="search for a finite covering set of moduli")
     p.add_argument("expr")
-    p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--bound", type=int, default=10**4)
+    p.add_argument("--k-max", type=_natural, default=3)
+    p.add_argument("--n-max", type=_natural, default=50)
+    p.add_argument("--bound", type=_natural, default=10**4)
 
     p = add("nfree", help="N-freeness verdict with certificate")
     p.add_argument("expr")
@@ -135,7 +143,7 @@ def build_parser() -> _Parser:
     p = add("interp", help="interpolation triple a | c | b on filter cores")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--bound", type=int, default=10**3)
+    p.add_argument("--bound", type=_natural, default=10**3)
 
     p = add("chain-build", help="build a finite divisibility chain")
     p.add_argument("k", type=int)
@@ -144,15 +152,15 @@ def build_parser() -> _Parser:
     p = add("chain-verify", help="build and verify a chain's invariant")
     p.add_argument("k", type=int)
     p.add_argument("--scheme", choices=("residue", "tree"), default="residue")
-    p.add_argument("--bound", type=int, default=10**6)
+    p.add_argument("--bound", type=_natural, default=10**6)
 
     p = add("harness", help="run lemma-verification suites")
     p.add_argument("lemmas", nargs="*", metavar="LEMMA",
                    help="suite ids, default all")  # listed by format_help
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=_natural)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corpus", help="corpus file, or 'default'")
-    p.add_argument("--k", type=int, help="chain length for T4.2")
+    p.add_argument("--k", type=_natural, help="chain length for T4.2")
 
     return parser
 
@@ -163,8 +171,6 @@ def _run(args: argparse.Namespace) -> int:
     cmd = args.command
 
     if cmd == "factor":
-        if args.n < 1:
-            raise _UsageError("n must be >= 1")
         fact = arith.factorize(args.n)
         _emit({"n": fact.value,
                "factors": {str(p): k for p, k in fact.factors}}, as_json)

@@ -5,6 +5,12 @@ seeded, or corpus-driven instances. A failing case always carries a
 counterexample serialized as a replayable command line for the
 single-query subcommands of the CLI.
 
+The search-shaped suites (L2.1a, L2.1b, T2.2, T3.3, E3.5b, L3.7) are
+generators: each yields (counterexample, replay argv) pairs in its loop
+order and returns its pass text, and _first turns the first pair, or the
+pass text, into the case. A generator stops at its first yield, so no
+work and no random draw happens past the first counterexample.
+
 Suite ids:
   L2.1a    quotient case rule and the D(.)-disjunction consequence
   L2.1b    prime-up product fast path vs truncated definition unfolding
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from . import arith
 from .antichain import (
@@ -34,7 +40,7 @@ from .antichain import (
 )
 from .corpus import default_filters, load_corpus, random_expressions
 from .chains import build_chain, verify_chain
-from .errors import IncompleteEnumerationError
+from .errors import IncompleteEnumerationError, PreconditionError
 from .filters import (
     FilterPresentation,
     Quot_of,
@@ -62,6 +68,7 @@ from .setexpr import (
     Mult,
     PrimesIdx,
     ProdSet,
+    Quot,
     SetExpr,
     Up,
     contains_down,
@@ -116,9 +123,18 @@ class HarnessReport(Record):
 
 
 class HarnessParams(Record):
+    """bound and k default per suite when None; bound, budget and k are
+    naturals >= 1."""
+
     __slots__ = ("bound", "budget", "seed", "corpus", "k")
     _defaults = {"bound": None, "budget": DEFAULT_BUDGET, "seed": 0,
                  "corpus": None, "k": None}
+
+    def _check(self) -> None:
+        for name in ("bound", "budget", "k"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise PreconditionError(f"harness {name} must be a natural >= 1")
 
     def expressions(self) -> list[SetExpr]:
         exprs = self.corpus if self.corpus is not None else load_corpus()
@@ -137,6 +153,18 @@ def _skip(lemma: str, case_id: str, params: dict, detail: str) -> HarnessCase:
     return HarnessCase(lemma, case_id, "skipped", params, detail)
 
 
+def _first(lemma: str, case_id: str, params: dict,
+           search: Generator[tuple[object, Optional[list[str]]], None, str]) -> HarnessCase:
+    """The case of a search: it fails at the first (counterexample, replay)
+    pair the search yields, with str(counterexample) as the detail, and
+    passes with the search's return value as the detail if it yields none."""
+    try:
+        bad, replay = next(search)
+    except StopIteration as done:
+        return HarnessCase(lemma, case_id, "pass", params, done.value)
+    return HarnessCase(lemma, case_id, "fail", params, str(bad), replay)
+
+
 # --- L2.1a: quotient case rule + D(.) disjunction -----------------------------
 
 def _sample_prime_sets(rng: random.Random, count: int) -> list[frozenset[int]]:
@@ -149,50 +177,34 @@ def _sample_prime_sets(rng: random.Random, count: int) -> list[frozenset[int]]:
 def _suite_l21a(p: HarnessParams) -> list[HarnessCase]:
     bound = p.bound or 2000
     rng = random.Random(p.seed)
-    cases: list[HarnessCase] = []
     params = {"bound": bound, "seed": p.seed}
-    bad = None
-    for b_set in _sample_prime_sets(rng, 40):
-        m = rng.randint(1, bound)
-        rule = quotient_case_rule(b_set, m)
-        direct = Quot_of(Up(Lit(b_set)), m)
-        for x in range(1, 201):
-            if member(rule, x, p.budget).proved != member(direct, x, p.budget).proved:
-                bad = (sorted(b_set), m, x)
-                break
-        if bad:
-            break
-    replay = None
-    if bad:
-        b_sorted, m, x = bad
-        expr = "quot(up({" + ",".join(map(str, b_sorted)) + "})," + str(m) + ")"
-        replay = ["member", expr, str(x)]
-    cases.append(_case("L2.1a", "case-rule-pointwise", bad is None, params,
-                       detail=str(bad) if bad else "40 seeded prime sets",
-                       replay=replay))
+
+    def case_rule():
+        for b_set in _sample_prime_sets(rng, 40):
+            m = rng.randint(1, bound)
+            rule = quotient_case_rule(b_set, m)
+            direct = Quot_of(Up(Lit(b_set)), m)
+            for x in range(1, 201):
+                if member(rule, x, p.budget).proved != member(direct, x, p.budget).proved:
+                    yield (sorted(b_set), m, x), [
+                        "member", render(Quot(Up(Lit(b_set)), m)), str(x)]
+        return "40 seeded prime sets"
 
     # D(F.G) restricted to prime-up sets sits inside D(F) union D(G)
-    f = make_filter([Up(PrimesIdx(1, 2))], p.budget)
-    g = make_filter([Up(PrimesIdx(2, 2))], p.budget)
-    bad2 = None
-    for b_set in _sample_prime_sets(rng, 10):
-        e = Up(Lit(b_set))
-        prod = product_member(f, g, e, p.budget)
-        if prod.proved:
-            left = d_member(f, e, p.budget)
-            right = d_member(g, e, p.budget)
-            if not (left.proved or right.proved):
-                bad2 = sorted(b_set)
-                break
-    cases.append(_case(
-        "L2.1a", "d-disjunction", bad2 is None, params,
-        detail=str(bad2) if bad2 else "prime-up targets over seeded sets",
-        replay=None if bad2 is None else [
-            "product-member", f.spec_text(), g.spec_text(),
-            "up({" + ",".join(map(str, bad2)) + "})",
-        ],
-    ))
-    return cases
+    def d_disjunction():
+        f = make_filter([Up(PrimesIdx(1, 2))], p.budget)
+        g = make_filter([Up(PrimesIdx(2, 2))], p.budget)
+        for b_set in _sample_prime_sets(rng, 10):
+            e = Up(Lit(b_set))
+            if product_member(f, g, e, p.budget).proved and not (
+                    d_member(f, e, p.budget).proved or d_member(g, e, p.budget).proved):
+                yield sorted(b_set), ["product-member", f.spec_text(),
+                                      g.spec_text(), render(e)]
+        return "prime-up targets over seeded sets"
+
+    # the list evaluates in order, so case_rule's draws all precede d_disjunction's
+    return [_first("L2.1a", "case-rule-pointwise", params, case_rule()),
+            _first("L2.1a", "d-disjunction", params, d_disjunction())]
 
 
 # --- L2.1b: fast path vs truncated unfolding ----------------------------------
@@ -238,87 +250,68 @@ def _suite_l21b(p: HarnessParams) -> list[HarnessCase]:
             member_cache[key] = enumerate_upto(filt.core, limit, max(p.budget, limit))[0]
         return member_cache[key]
 
-    unknowns = total = 0
-    bad = None
-    for f, g in pairs:
-        f_members = core_members(f, 400)
-        g_members = core_members(g, bound // 2)
-        for e, b_set in targets:
-            total += 1
-            fast = product_member(f, g, e, p.budget)
-            if fast.unknown:
-                unknowns += 1
-                continue
-            witness = _brute_refutation(f_members, g_members, b_set, bound)
-            if fast.proved and witness is not None:
-                bad = (f, g, e, witness)
-                break
-            if fast.refuted and witness is None:
-                bad = (f, g, e, None)
-                break
-        if bad:
-            break
-    detail = f"unknown rate {unknowns}/{total}"
-    ok = bad is None and unknowns * 5 < total  # < 20% unknowns
-    replay = None
-    if bad is not None:
-        replay = ["product-member", bad[0].spec_text(), bad[1].spec_text(),
-                  render(bad[2])]
-        detail = f"fast path disagrees with unfolding, witness {bad[3]}"
-    return [_case("L2.1b", "fast-path-vs-unfolding", ok, params, detail, replay)]
+    def search():
+        unknowns = total = 0
+        for f, g in pairs:
+            f_members = core_members(f, 400)
+            g_members = core_members(g, bound // 2)
+            for e, b_set in targets:
+                total += 1
+                fast = product_member(f, g, e, p.budget)
+                if fast.unknown:
+                    unknowns += 1
+                    continue
+                # Proved needs no refuting pair, Refuted needs one
+                witness = _brute_refutation(f_members, g_members, b_set, bound)
+                if fast.proved == (witness is not None):
+                    yield (f"fast path disagrees with unfolding, witness {witness}",
+                           ["product-member", f.spec_text(), g.spec_text(), render(e)])
+        rate = f"unknown rate {unknowns}/{total}"
+        if unknowns * 5 >= total:  # 20% or more unknowns
+            yield rate, None
+        return rate
+
+    return [_first("L2.1b", "fast-path-vs-unfolding", params, search())]
 
 
 # --- T2.2: Euclid shadow --------------------------------------------------------
 
 def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
+    # bound and budget are arguments, not closure cells, so the 2.3 M
+    # iterations of the inner loop read only locals (likewise in T3.3)
+    def search(bound: int, budget: int):
+        points = [principal(i) for i in range(1, bound + 1)]
+        for q in arith.primes_upto(100):
+            target = Up(Lit(frozenset({q})))
+            for f_pt in range(1, bound + 1):
+                f = points[f_pt - 1]
+                for g_pt in range(1, bound + 1):
+                    got = product_member(f, points[g_pt - 1], target, budget).proved
+                    want = f_pt % q == 0 or g_pt % q == 0
+                    if got != want:
+                        yield (q, f_pt, g_pt), ["product-member", f"principal:{f_pt}",
+                                                f"principal:{g_pt}", render(target)]
+        return f"primes <= 100, points <= {bound}"
+
     bound = p.bound or 300
-    params = {"bound": bound}
-    bad = None
-    points = [principal(i) for i in range(1, bound + 1)]
-    for q in arith.primes_upto(100):
-        target = Up(Lit(frozenset({q})))
-        for f_pt in range(1, bound + 1):
-            f = points[f_pt - 1]
-            for g_pt in range(1, bound + 1):
-                got = product_member(f, points[g_pt - 1], target, p.budget).proved
-                want = f_pt % q == 0 or g_pt % q == 0
-                if got != want:
-                    bad = (q, f_pt, g_pt)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    replay = None
-    if bad:
-        q, f_pt, g_pt = bad
-        replay = ["product-member", f"principal:{f_pt}", f"principal:{g_pt}",
-                  "up({" + str(q) + "})"]
-    return [_case("T2.2", "euclid-shadow", bad is None, params,
-                  detail=str(bad) if bad else f"primes <= 100, points <= {bound}",
-                  replay=replay)]
+    return [_first("T2.2", "euclid-shadow", {"bound": bound}, search(bound, p.budget))]
 
 
 # --- T3.3: principal equivalence ------------------------------------------------
 
 def _suite_t33(p: HarnessParams) -> list[HarnessCase]:
+    def search(bound: int, budget: int):
+        points = [principal(i) for i in range(1, bound + 1)]
+        for m in range(1, bound + 1):
+            f = points[m - 1]
+            for n in range(1, bound + 1):
+                if divides_tilde(f, points[n - 1], budget).proved != (n % m == 0):
+                    yield (m, n), ["divides", f"principal:{m}", f"principal:{n}"]
+        return f"all pairs <= {bound}"
+
     bound = p.bound or 500
-    params = {"bound": bound}
-    bad = None
-    points = [principal(i) for i in range(1, bound + 1)]
-    for m in range(1, bound + 1):
-        f = points[m - 1]
-        for n in range(1, bound + 1):
-            if divides_tilde(f, points[n - 1], p.budget).proved != (n % m == 0):
-                bad = (m, n)
-                break
-        if bad:
-            break
-    replay = None if bad is None else [
-        "divides", f"principal:{bad[0]}", f"principal:{bad[1]}"]
-    return [_case("T3.3", "principal-equivalence", bad is None, params,
-                  detail=str(bad) if bad else f"all pairs <= {bound}",
-                  replay=replay)]
+    return [_first("T3.3", "principal-equivalence", {"bound": bound},
+                   search(bound, p.budget))]
 
 
 # --- L3.4-eq3: interpolation ----------------------------------------------------
@@ -353,65 +346,45 @@ def _suite_l34(p: HarnessParams) -> list[HarnessCase]:
 # --- E3.5b: factorials ----------------------------------------------------------
 
 def _suite_e35b(p: HarnessParams) -> list[HarnessCase]:
-    params = {}
-    bad = None
-    # Independent oracle: m*(n-1)! is a factorial iff it appears in the
-    # directly computed factorial table. For m != n that is rare but not
-    # impossible (1*(n-1)! = (n-1)!, 6*1! = 3!, 12*2! = 4!), so the
-    # expectation comes from the oracle, not from m == n alone.
-    table = {math.factorial(i) for i in range(1, 20)}
-    for n in range(2, 13):
-        base = math.factorial(n - 1)
-        for m in range(1, 13):
-            got = member(FACTORIALS, m * base, p.budget)
-            want = m * base in table
-            if m == n and not want:
-                bad = (n, m)  # n*(n-1)! = n! must be in the table
-                break
-            if got.proved != want or got.refuted == want:
-                bad = (n, m)
-                break
-        if bad:
-            break
-    replay = None
-    if bad:
-        n, m = bad
-        replay = ["member", "factorials", str(m * math.factorial(n - 1))]
-    return [_case("E3.5b", "factorial-shadow", bad is None, params,
-                  detail=str(bad) if bad else "2 <= n <= 12, m <= 12",
-                  replay=replay)]
+    def search():
+        # Independent oracle: m*(n-1)! is a factorial iff it appears in the
+        # directly computed factorial table. For m != n that is rare but not
+        # impossible (1*(n-1)! = (n-1)!, 6*1! = 3!, 12*2! = 4!), so the
+        # expectation comes from the oracle, not from m == n alone; and
+        # n*(n-1)! = n! must be in the table.
+        table = {math.factorial(i) for i in range(1, 20)}
+        for n in range(2, 13):
+            base = math.factorial(n - 1)
+            for m in range(1, 13):
+                got = member(FACTORIALS, m * base, p.budget)
+                want = m * base in table
+                if (m == n and not want) or got.proved != want or got.refuted == want:
+                    yield (n, m), ["member", "factorials", str(m * base)]
+        return "2 <= n <= 12, m <= 12"
+
+    return [_first("E3.5b", "factorial-shadow", {}, search())]
 
 
 # --- L3.7: scaling preserves tilde-divisibility ---------------------------------
 
 def _suite_l37(p: HarnessParams) -> list[HarnessCase]:
     h_max = p.bound or 50
-    params = {"h_max": h_max}
-    filters = default_filters()
-    bad = None
-    checked = 0
-    for f in filters:
-        for g in filters:
-            if not divides_tilde(f, g, p.budget).proved:
-                continue
-            for h in range(2, h_max + 1):
-                checked += 1
-                sf, sg = scale_filter(f, h), scale_filter(g, h)
-                if not divides_tilde(sf, sg, p.budget).proved:
-                    bad = (f, g, h)
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    replay = None
-    if bad:
-        f, g, h = bad
-        replay = ["divides", scale_filter(f, h).spec_text(),
-                  scale_filter(g, h).spec_text()]
-    return [_case("L3.7", "scale-shadow", bad is None, params,
-                  detail=str(bad) if bad else f"{checked} scaled pairs",
-                  replay=replay)]
+
+    def search():
+        filters = default_filters()
+        checked = 0
+        for f in filters:
+            for g in filters:
+                if not divides_tilde(f, g, p.budget).proved:
+                    continue
+                for h in range(2, h_max + 1):
+                    checked += 1
+                    sf, sg = scale_filter(f, h), scale_filter(g, h)
+                    if not divides_tilde(sf, sg, p.budget).proved:
+                        yield (f, g, h), ["divides", sf.spec_text(), sg.spec_text()]
+        return f"{checked} scaled pairs"
+
+    return [_first("L3.7", "scale-shadow", {"h_max": h_max}, search())]
 
 
 # --- T4.2: finite chain ---------------------------------------------------------
@@ -467,12 +440,11 @@ def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
             continue
         verdict = is_n_free(e, p.budget)
         if verdict.proved:
-            ok = True
-            missing = None
-            for t in range(1, 7):
-                if find_antichain_of_size(e, t, 10**5, p.budget) is None:
-                    ok, missing = False, t
-                    break
+            # the greedy antichain of size t is the first t members of one
+            # fixed sequence, so size 6 succeeds iff every size 1..6 does
+            ok = find_antichain_of_size(e, 6, 10**5, p.budget) is not None
+            missing = None if ok else next(
+                t for t in range(1, 7) if find_antichain_of_size(e, t, 10**5, p.budget) is None)
             cases.append(_case(
                 "L5.3", name, ok, params,
                 detail="antichains of sizes 1..6 found" if ok
@@ -500,10 +472,7 @@ def _suite_t54ii(p: HarnessParams) -> list[HarnessCase]:
             if not filter_member(f, e, p.budget).proved:
                 continue
             name = f"{fname} ∋ {render(e)}"
-            ok = all(
-                find_antichain_of_size(e, t, 10**5, p.budget) is not None
-                for t in range(1, 5)
-            )
+            ok = find_antichain_of_size(e, 4, 10**5, p.budget) is not None
             cases.append(_case(
                 "T5.4ii", name, ok, {"filter": fname, "expression": render(e)},
                 detail="antichains of sizes 1..4 found" if ok else "missing size",

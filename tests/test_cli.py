@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from divfilters import cli
 from divfilters.cli import main, run_query
 from divfilters.harness import HarnessParams, run_harness
@@ -50,6 +52,33 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, ["harness", "NOPE"])[0] == 64
     assert run(capsys, ["bogus-command"])[0] == 64
     assert run(capsys, ["member"])[0] == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["upclosed", "P", "--budget", "-3"],
+    ["nfree", "mult(2)", "--budget", "-3"],
+    ["divides", "principal:2", "principal:4", "--budget", "-3"],
+    ["harness", "T3.3", "--budget", "-3"],
+    ["interp", "gen:[mult(24)]", "gen:[mult(24)]", "--budget", "-3"],
+    ["member", "mult(6)", "18", "--budget", "0"],
+    ["chain-verify", "3", "--bound", "0"],
+    ["enumerate", "P", "--bound", "-5"],
+    ["antichain", "P", "--bound", "-3"],
+    ["cover", "P", "--k-max", "0"],
+    ["cover", "P", "--n-max", "-1"],
+    ["cover", "P", "--bound", "+5"],
+    ["harness", "L2.1a", "--bound", "-1"],
+    ["harness", "L2.1b", "--bound", "-1"],
+    ["harness", "T2.2", "--bound", "0"],
+    ["harness", "T4.2", "--k", "0"],
+    ["factor", "0"],
+    ["factor", "-4"],
+])
+def test_non_natural_bounds_and_budgets_exit_64(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 64
+    assert out == ""
+    assert "expected a natural >= 1" in err
 
 
 def test_usage_error_prints_grammar_hint(capsys):
