@@ -191,3 +191,75 @@ def test_natural_past_the_digit_limit_exits_64(capsys):
     code, out, err = run(capsys, ["member", "mult(" + "1" * 5000 + ")", "4"])
     assert (code, out) == (64, "")
     assert "offset 5" in err and "too many digits" in err
+
+
+# --- pinned outputs of the commands no other test runs ------------------------
+
+def test_cover_found(capsys):
+    code, out, _ = run(capsys, ["cover", "union(mult(2),mult(3))"])
+    assert code == 0
+    assert out.splitlines()[:3] == ["kind       covering",
+                                    "host_expr  union(mult(2),mult(3))",
+                                    "covers     [2, 3]"]
+
+
+def test_cover_not_found(capsys):
+    code, out, _ = run(capsys, ["cover", "P", "--k-max", "1", "--n-max", "5"])
+    assert code == 1
+    assert out == "cover   None\ndetail  no cover within the search bounds\n"
+
+
+def test_d_member_text_and_json(capsys):
+    code, out, _ = run(capsys, ["d-member", "gen:[mult(6)]", "mult(3)"])
+    assert code == 0
+    assert out == ("f            gen:[mult(6)]\nexpr         mult(3)\n"
+                   "state        proved\nbudget       10000\ncertificate  structural\n")
+    code, out, _ = run(capsys, ["d-member", "gen:[mult(6)]", "mult(3)", "--json"])
+    assert code == 0
+    assert json.loads(out) == {"schema": "divfilters/1", "f": "gen:[mult(6)]",
+                               "expr": "mult(3)", "state": "proved",
+                               "budget": 10000, "certificate": "structural"}
+
+
+def test_chain_build_json(capsys):
+    code, out, _ = run(capsys, ["chain-build", "4", "--json"])
+    assert code == 0
+    family = [f"primesIdx({r},4)" for r in range(1, 5)]
+    assert json.loads(out) == {
+        "schema": "divfilters/1", "k": 4, "scheme": "residue", "family": family,
+        "links": ["principal:1"] + [f"gen:[up(prodset({','.join(family[:j])}))]"
+                                    for j in range(1, 5)],
+    }
+
+
+def test_chain_verify_text(capsys):
+    code, out, _ = run(capsys, ["chain-verify", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 13 and lines[-1] == "passed  True"
+    assert lines[0] == "beta=0 alpha=0 expect=omits verdict=refuted ok=True"
+    assert lines[3] == "beta=0 alpha=1 expect=divides verdict=proved ok=True"
+    assert all(line.endswith("ok=True") for line in lines[:-1])
+
+
+def test_harness_text_report_with_replay_lines(capsys):
+    code, out, _ = run(capsys, ["harness", "L3.4-eq3", "--bound", "30"])
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "L3.4-eq3  fail    mult24-self  [verdict unknown-at-bound, expected proved]",
+        "  replay: divfilters interp gen:[mult(24)] gen:[mult(24)] --bound 30",
+    ]
+    assert lines[2] == "L3.4-eq3  pass    principal-2-6  [verdict refuted, expected refuted]"
+    assert lines[-1] == "summary: 3 pass, 5 fail, 0 skipped"
+    assert sum(line.startswith("  replay: divfilters interp ") for line in lines) == 5
+
+
+def test_harness_reads_a_corpus_file(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# two expressions\nunion(mult(2),mult(3))\n\nP\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["harness", "L5.3", "--corpus", str(corpus)])
+    assert code == 0
+    assert out == ("L5.3      pass    union(mult(2),mult(3))  [cover size 2, exact antichain 2]\n"
+                   "L5.3      pass    P  [antichains of sizes 1..6 found]\n"
+                   "summary: 2 pass, 0 fail, 0 skipped\n")
