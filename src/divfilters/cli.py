@@ -13,12 +13,13 @@ stderr). A crash never exits 0, 1 or 2.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 from . import arith
 from .errors import DivfiltersError, ParseError, PreconditionError
-from .semantics import DEFAULT_BUDGET, enumerate_upto, is_upward_closed, member
+from .semantics import DEFAULT_BUDGET, enumerate_upto
 from .setexpr import NODE_CLASSES, parse_expr, render, usage
 from .verdict import SCHEMA_VERSION, Verdict
 
@@ -32,6 +33,29 @@ GRAMMAR_HINT = (
     "expressions: " + " | ".join(map(usage, NODE_CLASSES))
     + "; filters: principal:<n> or gen:[e1;e2;...]"
 )
+
+
+# A verdict command is declared by one row: its help text, the function that
+# decides it as "module.function", and its operands in call order. Each
+# operand is a positional argument: expr is parsed as an expression, f and g
+# as filter specs and echoed as their spec text, m is a natural echoed as
+# given. The function is called with the operands, interp's --bound and the
+# budget, in that order, and its verdict is printed after the echo.
+VERDICT_COMMANDS = {
+    "member": ("three-valued membership of m in an expression",
+               "semantics.member", ("expr", "m")),
+    "upclosed": ("is the expression upward closed?",
+                 "semantics.is_upward_closed", ("expr",)),
+    "nfree": ("N-freeness verdict with certificate", "antichain.is_n_free", ("expr",)),
+    "divides": ("tilde-divisibility between two filters",
+                "filters.divides_tilde", ("f", "g")),
+    "product-member": ("membership of a set in a product filter",
+                       "filters.product_member", ("f", "g", "expr")),
+    "d-member": ("membership of a set in the derived filter D(F)",
+                 "filters.d_member", ("f", "expr")),
+    "interp": ("interpolation triple a | c | b on filter cores",
+               "filters.interpolation_check", ("f", "g")),
+}
 
 
 class _UsageError(Exception):
@@ -71,19 +95,11 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key.ljust(width)}  {value}")
 
 
-def _verdict_exit(v: Verdict) -> int:
+def _emit_verdict(v: Verdict, as_json: bool, echo: dict) -> int:
+    _emit({**echo, **v.to_json()}, as_json)
     if v.proved:
         return EXIT_PROVED
-    if v.refuted:
-        return EXIT_REFUTED
-    return EXIT_UNKNOWN
-
-
-def _emit_verdict(v: Verdict, as_json: bool, extra: dict | None = None) -> int:
-    payload = dict(extra or {})
-    payload.update(v.to_json())
-    _emit(payload, as_json)
-    return _verdict_exit(v)
+    return EXIT_REFUTED if v.refuted else EXIT_UNKNOWN
 
 
 def build_parser() -> _Parser:
@@ -97,19 +113,19 @@ def build_parser() -> _Parser:
                        help="verdict search cap")
         return p
 
+    for name, (help_text, _, operands) in VERDICT_COMMANDS.items():
+        p = add(name, help=help_text)
+        for operand in operands:
+            p.add_argument(operand, type=_natural if operand == "m" else None)
+        if name == "interp":
+            p.add_argument("--bound", type=_natural, default=10**3)
+
     p = add("factor", help="prime factorization")
     p.add_argument("n", type=_natural)
-
-    p = add("member", help="three-valued membership of m in an expression")
-    p.add_argument("expr")
-    p.add_argument("m", type=int)
 
     p = add("enumerate", help="members of an expression up to a bound")
     p.add_argument("expr")
     p.add_argument("--bound", type=_natural, required=True)
-
-    p = add("upclosed", help="is the expression upward closed?")
-    p.add_argument("expr")
 
     p = add("antichain", help="largest pairwise-coprime subset up to a bound")
     p.add_argument("expr")
@@ -123,27 +139,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k-max", type=_natural, default=3)
     p.add_argument("--n-max", type=_natural, default=50)
     p.add_argument("--bound", type=_natural, default=10**4)
-
-    p = add("nfree", help="N-freeness verdict with certificate")
-    p.add_argument("expr")
-
-    p = add("divides", help="tilde-divisibility between two filters")
-    p.add_argument("f")
-    p.add_argument("g")
-
-    p = add("product-member", help="membership of a set in a product filter")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("expr")
-
-    p = add("d-member", help="membership of a set in the derived filter D(F)")
-    p.add_argument("f")
-    p.add_argument("expr")
-
-    p = add("interp", help="interpolation triple a | c | b on filter cores")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.add_argument("--bound", type=_natural, default=10**3)
 
     p = add("chain-build", help="build a finite divisibility chain")
     p.add_argument("k", type=int)
@@ -170,16 +165,30 @@ def _run(args: argparse.Namespace) -> int:
     budget = args.budget
     cmd = args.command
 
+    if cmd in VERDICT_COMMANDS:
+        _, target, operands = VERDICT_COMMANDS[cmd]
+        module, name = target.split(".")
+        decide = getattr(importlib.import_module(f".{module}", __package__), name)
+        values, echo = [], {}
+        for operand in operands:
+            value = echo[operand] = getattr(args, operand)
+            if operand == "expr":
+                value = parse_expr(value)
+            elif operand in ("f", "g"):
+                from .filters import parse_filter_spec
+
+                value = parse_filter_spec(value, budget)
+                echo[operand] = value.spec_text()
+            values.append(value)
+        if cmd == "interp":
+            values.append(args.bound)
+        return _emit_verdict(decide(*values, budget), as_json, echo)
+
     if cmd == "factor":
         fact = arith.factorize(args.n)
         _emit({"n": fact.value,
                "factors": {str(p): k for p, k in fact.factors}}, as_json)
         return EXIT_PROVED
-
-    if cmd == "member":
-        return _emit_verdict(
-            member(parse_expr(args.expr), args.m, budget), as_json,
-            {"expr": args.expr, "m": args.m})
 
     if cmd == "enumerate":
         e = parse_expr(args.expr)
@@ -187,11 +196,6 @@ def _run(args: argparse.Namespace) -> int:
         _emit({"expr": render(e), "bound": args.bound,
                "members": members, "complete": complete}, as_json)
         return EXIT_PROVED if complete else EXIT_UNKNOWN
-
-    if cmd == "upclosed":
-        return _emit_verdict(
-            is_upward_closed(parse_expr(args.expr), budget), as_json,
-            {"expr": args.expr})
 
     if cmd == "antichain":
         from .antichain import max_strong_antichain
@@ -213,44 +217,6 @@ def _run(args: argparse.Namespace) -> int:
             return EXIT_REFUTED
         _emit(cert.to_json(), as_json)
         return EXIT_PROVED
-
-    if cmd == "nfree":
-        from .antichain import is_n_free
-
-        return _emit_verdict(is_n_free(parse_expr(args.expr), budget),
-                             as_json, {"expr": args.expr})
-
-    if cmd == "divides":
-        from .filters import divides_tilde, parse_filter_spec
-
-        f = parse_filter_spec(args.f, budget)
-        g = parse_filter_spec(args.g, budget)
-        return _emit_verdict(divides_tilde(f, g, budget), as_json,
-                             {"f": f.spec_text(), "g": g.spec_text()})
-
-    if cmd == "product-member":
-        from .filters import parse_filter_spec, product_member
-
-        f = parse_filter_spec(args.f, budget)
-        g = parse_filter_spec(args.g, budget)
-        return _emit_verdict(
-            product_member(f, g, parse_expr(args.expr), budget), as_json,
-            {"f": f.spec_text(), "g": g.spec_text(), "expr": args.expr})
-
-    if cmd == "d-member":
-        from .filters import d_member, parse_filter_spec
-
-        f = parse_filter_spec(args.f, budget)
-        return _emit_verdict(d_member(f, parse_expr(args.expr), budget),
-                             as_json, {"f": f.spec_text(), "expr": args.expr})
-
-    if cmd == "interp":
-        from .filters import interpolation_check, parse_filter_spec
-
-        f = parse_filter_spec(args.f, budget)
-        g = parse_filter_spec(args.g, budget)
-        return _emit_verdict(interpolation_check(f, g, args.bound, budget),
-                             as_json, {"f": f.spec_text(), "g": g.spec_text()})
 
     if cmd == "chain-build":
         from .chains import build_chain
@@ -306,11 +272,6 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_PROVED if report.passed else EXIT_REFUTED
 
     raise _UsageError(f"unknown command {cmd!r}")
-
-
-def run_query(argv: list[str]) -> int:
-    """Programmatic entry point used for counterexample replay."""
-    return main(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 
 from . import arith
 from .errors import PreconditionError
@@ -311,8 +311,18 @@ def _member_up(e: Up, m: int, budget: int) -> Verdict:
     if type(inner) is Mult:
         n = inner.n
         return Verdict(_PROVED, budget, n) if m % n == 0 else Verdict(_REFUTED, budget)
+    factors = inner.args if type(inner) is ProdSet else (inner,)
+    if all(facts(a).primes for a in factors):
+        # every member of inner is a product of len(factors) distinct primes,
+        # and inner refutes every other divisor of m before it evaluates
+        # anything else: ask only about those products, ascending like the
+        # divisors
+        primes = [p for p, _ in arith.factorize(m).factors]
+        candidates = sorted(map(math.prod, combinations(primes, len(factors))))
+    else:
+        candidates = arith.divisors(m)
     saw_unknown = False
-    for d in arith.divisors(m):
+    for d in candidates:
         state = _member(inner, d, budget).state
         if state is _PROVED:
             return Verdict(_PROVED, budget, d)

@@ -132,3 +132,12 @@ def test_max_approx_rejects_unverified_witness(monkeypatch):
     monkeypatch.setattr(chains, "member", lambda e, m, budget: unknown(budget))
     with pytest.raises(FilterConstructionError):
         max_approx(3)
+
+
+def test_long_chains_build_and_verify():
+    # each link's witness is a product of j primes; up() asks its prime
+    # product about the j-fold products only, not all 2^j divisors
+    assert verify_chain(build_chain(20)).passed
+    chain = build_chain(40)
+    assert len(chain.links) == 41
+    assert [omega(link.fip_witness) for link in chain.links] == list(range(41))

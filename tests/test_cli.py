@@ -3,7 +3,7 @@ import json
 import pytest
 
 from divfilters import cli
-from divfilters.cli import main, run_query
+from divfilters.cli import main
 from divfilters.harness import HarnessParams, run_harness
 
 
@@ -73,6 +73,10 @@ def test_usage_errors_exit_64(capsys):
     ["harness", "T4.2", "--k", "0"],
     ["factor", "0"],
     ["factor", "-4"],
+    ["member", "mult(5)", "\uff15"],  # fullwidth 5
+    ["member", "mult(5)", "\u0665"],  # Arabic-Indic 5
+    ["member", "mult(5)", "+10"],
+    ["member", "mult(5)", " 10"],
 ])
 def test_non_natural_bounds_and_budgets_exit_64(capsys, argv):
     code, out, err = run(capsys, argv)
@@ -145,7 +149,7 @@ def test_failed_case_replay_reproduces_verdict(capsys):
     assert failing, "expected starved interpolation cases to fail"
     for case in failing:
         assert case.replay is not None
-        code = run_query(case.replay)
+        code = main(case.replay)
         capsys.readouterr()
         assert code == 2  # the violating (non-Proved) verdict replays
 
@@ -170,7 +174,7 @@ def test_crash_exits_70_with_traceback(capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("injected fault")
 
-    monkeypatch.setattr(cli, "member", crash)
+    monkeypatch.setattr("divfilters.semantics.member", crash)
     code, out, err = run(capsys, ["member", "mult(6)", "18", "--json"])
     assert code == cli.EXIT_INTERNAL == 70
     assert out == ""

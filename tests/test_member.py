@@ -3,6 +3,7 @@ import pytest
 from oracle import oracle_set
 
 from divfilters import load_corpus
+from divfilters.arith import divisors
 from divfilters.errors import PreconditionError
 from divfilters.semantics import (
     _iroot,
@@ -161,6 +162,52 @@ def test_structural_subset_is_sound():
         assert truth_a <= truth_b
 
 
+# one input per simplify rewrite that no corpus expression reaches
+@pytest.mark.parametrize("text, rewritten", [
+    ("scale({2,3},5)", "{10,15}"),
+    ("scale(scale(P,2),5)", "scale(P,10)"),
+    ("scale(N,4)", "mult(4)"),
+    ("scale(empty,4)", "empty"),
+    ("quot(quot(P,2),3)", "quot(P,6)"),
+    ("quot(N,5)", "N"),
+    ("quot(empty,5)", "empty"),
+    ("quot(up({2,3}),10)", "N"),
+    ("quot(up({2,3}),35)", "up({2,3})"),
+])
+def test_simplify_rewrite(text, rewritten):
+    e = parse_expr(text)
+    s = simplify(e)
+    assert render(s) == rewritten
+    truth = oracle_set(e, 300)
+    for m in range(1, 301):
+        assert member(e, m, BUDGET).proved == member(s, m, BUDGET).proved == (m in truth), m
+
+
+# one input per structural subset branch that no other test reaches
+@pytest.mark.parametrize("a, b", [
+    ("empty", "mult(7)"),
+    ("prodset(primesIdx(1,2),primesIdx(2,2),P)", "up(prodset(primesIdx(1,2),primesIdx(2,2)))"),
+    ("scale(prodset(P,P),2)", "up(scale(P,2))"),
+    ("pow(P,2)", "up(P)"),
+])
+def test_structural_subset_rule(a, b):
+    a, b = parse_expr(a), parse_expr(b)
+    assert structurally_subset(a, b, BUDGET)
+    assert oracle_set(a, 300) <= oracle_set(b, 300)
+
+
+def test_structural_subset_gives_up_past_its_depth_guard():
+    def nested(depth):
+        e = Mult(4)
+        for _ in range(depth):
+            e = Inter(e, N)
+        return e
+
+    assert structurally_subset(nested(30), Mult(2), BUDGET)
+    assert oracle_set(nested(45), 300) <= oracle_set(Mult(2), 300)
+    assert not structurally_subset(nested(45), Mult(2), BUDGET)  # no rule applied
+
+
 def test_iroot_is_exact_for_huge_values():
     m = 10**400 + 1
     x = _iroot(m, 3)
@@ -227,3 +274,46 @@ def test_down_of_a_finite_set_is_finite():
         v = is_infinite(parse_expr(text), BUDGET)
         assert v.refuted and v.certificate == "structural", text
     assert is_infinite(parse_expr("down(mult(4))"), BUDGET).proved
+
+
+def _up_by_divisors(inner, m, budget):
+    """The loop over every divisor of m that _member_up makes for an inner
+    set with no fast path: the least Proved divisor, else Unknown or Refuted."""
+    saw_unknown = False
+    for d in divisors(m):
+        v = member(inner, d, budget)
+        if v.proved:
+            return ("proved", d)
+        saw_unknown = saw_unknown or v.unknown
+    return ("unknown-at-bound" if saw_unknown else "refuted", None)
+
+
+# inner sets whose members are products of k distinct primes, Unknown
+# factors included, which up() asks only about such divisors of m; then
+# sets of other shapes, which it asks about every divisor
+UPS = [
+    "up(P)",
+    "up(primesIdx(2,3))",
+    "up(primesGeom(1,2))",
+    "up(union(primesIdx(1,3),{35,2}))",
+    "up(inter(P,down(factorials)))",
+    "up(inter(comp({7}),P))",
+    "up(prodset(primesIdx(1,2)))",
+    "up(prodset(P,P))",
+    "up(prodset(primesIdx(1,2),primesIdx(2,2)))",
+    "up(prodset(inter(P,down(factorials)),P))",
+    "up(prodset(primesIdx(1,3),P,inter(down(mult(30)),P)))",
+    "up(prodset(P,mult(4)))",
+    "up(prodset(level(2),P))",
+    "up(union(P,{4}))",
+]
+
+
+@pytest.mark.parametrize("budget", [50, 10**4])
+@pytest.mark.parametrize("text", UPS)
+def test_up_equals_the_divisor_loop(text, budget):
+    e = parse_expr(text)
+    big = [2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2**40 * 999983, 30 * 1000003 * 10007]
+    for m in [*range(1, 1501), *big]:
+        v = member(e, m, budget)
+        assert (v.state.value, v.certificate) == _up_by_divisors(e.inner, m, budget), m
