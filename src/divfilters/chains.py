@@ -1,8 +1,11 @@
 """Finite divisibility chains built from almost-disjoint prime families.
 
-The j-th link is generated by the upward closure of the product set of the
-first j family members; consecutive links are related by tilde-divisibility
-because a product over a prefix divides the product over an extension.
+The family is one of ad_family's two schemes: residue, the prime-index
+residue classes mod k, which are pairwise disjoint; or tree, binary branch
+prefixes, any two of which meet in finitely many primes. The j-th link is
+generated by the upward closure of the product set of the first j family
+members; consecutive links are related by tilde-divisibility because a
+product over a prefix divides the product over an extension.
 
 Only finite chains are modelled. The double invariant checked by
 verify_chain: each prime filter below a link divides it, and no link
@@ -61,49 +64,10 @@ def ad_family(k: int, scheme: str = "residue") -> list[SetExpr]:
     raise PreconditionError(f"unknown scheme {scheme!r}")
 
 
-def _geom_core(c: int, q: int) -> int:
-    while c % q == 0:
-        c //= q
-    return c
-
-
-def _pair_almost_disjoint(a: SetExpr, b: SetExpr) -> bool:
-    """Structural proof that a and b are almost disjoint (finite overlap)."""
-    if a == b:
-        return False
-    if isinstance(a, PrimesIdx) and isinstance(b, PrimesIdx):
-        return a.m == b.m and a.r != b.r
-    if isinstance(a, Union) and isinstance(b, Union):
-        if (
-            isinstance(a.left, Lit)
-            and isinstance(b.left, Lit)
-            and isinstance(a.right, PrimesGeom)
-            and isinstance(b.right, PrimesGeom)
-            and a.right.q == b.right.q
-        ):
-            # distinct geometric index tails are disjoint; the finite
-            # literal prefixes may overlap freely
-            return _geom_core(a.right.c, a.right.q) != _geom_core(b.right.c, b.right.q)
-    return False
-
-
-def verify_almost_disjoint(family: list[SetExpr]) -> str | None:
-    """None if the family is structurally verified almost disjoint,
-    otherwise a diagnostic naming the offending pair."""
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            if a == b:
-                return f"{render(a)} repeats: infinite self-intersection"
-            if not _pair_almost_disjoint(a, b):
-                return f"cannot verify almost disjointness of {render(a)} and {render(b)}"
-    return None
-
-
 class ChainSpec(Record):
     """A chain of filters: links holds length + 1 filters."""
 
     __slots__ = ("length", "family", "links", "prime_filters", "scheme")
-    _defaults = {"scheme": "custom"}
 
     def to_json(self) -> dict:
         return {
@@ -115,24 +79,13 @@ class ChainSpec(Record):
 
 
 def build_chain(
-    k: int,
-    family: list[SetExpr] | None = None,
-    scheme: str = "residue",
-    budget: int = DEFAULT_BUDGET,
+    k: int, scheme: str = "residue", budget: int = DEFAULT_BUDGET
 ) -> ChainSpec:
-    """Assemble the chain of filters over the first k family members."""
+    """Assemble the chain of filters over the first k members of
+    ad_family(k, scheme)."""
     if k < 0:
         raise PreconditionError("k must be >= 0")
-    if family is None:
-        family = ad_family(max(k, 1), scheme)
-    else:
-        scheme = "custom"
-    if len(family) < k:
-        raise PreconditionError(f"family has {len(family)} members, need {k}")
-    used = list(family[:k])
-    diagnostic = verify_almost_disjoint(used)
-    if diagnostic is not None:
-        raise PreconditionError(diagnostic)
+    used = ad_family(max(k, 1), scheme)[:k]
     links = [principal(1)]
     for j in range(1, k + 1):
         gen = Up(ProdSet(tuple(used[:j])))

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes map the three-valued verdict so shell pipelines can branch on
-proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 = UnknownAtBound,
-64 = usage error, 70 = internal error (a crash, with its traceback on
-stderr). A crash never exits 0, 1 or 2.
+proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 = UnknownAtBound
+(chain-verify: some pairs Unknown, none decided wrongly), 64 = usage
+error, 70 = internal error (a crash, with its traceback on stderr). A crash
+never exits 0, 1 or 2.
 """
 
 # Start-up is part of every query's latency, so only the modules that the
@@ -80,9 +81,13 @@ class _Parser(argparse.ArgumentParser):
 def _natural(text: str) -> int:
     """The argparse type of every budget, bound and count: a natural >= 1,
     written in ASCII digits."""
-    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+    try:
+        value = int(text) if text.isascii() and text.isdigit() else 0
+    except ValueError:  # more digits than the interpreter converts
+        raise argparse.ArgumentTypeError("natural number has too many digits") from None
+    if value < 1:
         raise argparse.ArgumentTypeError(f"expected a natural >= 1, got {text!r}")
-    return int(text)
+    return value
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -238,7 +243,11 @@ def _run(args: argparse.Namespace) -> int:
                       f"expect={pr.expectation} "
                       f"verdict={pr.verdict.state.value} ok={pr.ok}")
             print(f"passed  {report.passed}")
-        return EXIT_PROVED if report.passed else EXIT_REFUTED
+        if report.passed:
+            return EXIT_PROVED
+        # fail only on a verdict decided against its expectation
+        decided = any(not pr.ok and not pr.verdict.unknown for pr in report.pairs)
+        return EXIT_REFUTED if decided else EXIT_UNKNOWN
 
     if cmd == "harness":
         from .corpus import load_corpus

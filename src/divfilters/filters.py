@@ -148,10 +148,9 @@ def _structural_min_member(e: SetExpr, budget: int) -> int | None:
 def make_filter(
     gens: list[SetExpr] | tuple[SetExpr, ...],
     budget: int = DEFAULT_BUDGET,
-    allow_unverified: bool = False,
 ) -> FilterPresentation:
     """Build a generated presentation, verifying the finite intersection
-    property by exhibiting a member of the core."""
+    property by exhibiting a member of the core; raise if none is found."""
     gens = tuple(gens)
     if not gens:
         raise PreconditionError("a generated filter needs at least one generator")
@@ -166,12 +165,9 @@ def make_filter(
         if is_proved:
             return FilterPresentation("generated", core, gens=gens, fip_witness=m)
         saw_unknown = True
-    if allow_unverified:
-        return FilterPresentation("generated", core, gens=gens, fip_witness=None)
     if saw_unknown:
         raise FilterConstructionError(
-            f"core {render(core)} has no member <= {budget} and some verdicts "
-            "are Unknown; pass allow_unverified=True to accept anyway"
+            f"core {render(core)} has no member <= {budget} and some verdicts are Unknown"
         )
     raise FilterConstructionError(
         f"core {render(core)} is empty up to budget {budget}; "
@@ -187,7 +183,7 @@ def parse_filter_spec(text: str, budget: int = DEFAULT_BUDGET) -> FilterPresenta
         try:
             point = int(body) if body.isascii() and body.isdigit() else 0
         except ValueError:  # more digits than the interpreter converts
-            point = 0
+            raise ParseError("natural number has too many digits", len("principal:")) from None
         if point < 1:
             raise ParseError("principal point must be a natural >= 1", len("principal:"))
         return principal(point)

@@ -1,9 +1,10 @@
 """Verification harness: finite shadows of the implemented results.
 
 Each suite checks a documented consequence of one result on bounded,
-seeded, or corpus-driven instances. A failing case always carries a
-counterexample serialized as a replayable command line for the
-single-query subcommands of the CLI.
+seeded, or corpus-driven instances. A failing case carries its
+counterexample and, when one CLI query asks what the suite asked, that
+query as a replayable command line, with --budget when the suite's budget
+is not the default.
 
 The search-shaped suites (L2.1a, L2.1b, T2.2, T3.3, E3.5b, L3.7) are
 generators: each yields (counterexample, replay argv) pairs in its loop
@@ -149,6 +150,11 @@ def _case(lemma: str, case_id: str, ok: bool, params: dict, detail: str = "",
                        detail, None if ok else replay)
 
 
+def _replay(budget: int, *argv: str) -> list[str]:
+    """The CLI argv that asks the query a suite made at budget."""
+    return list(argv) + ([] if budget == DEFAULT_BUDGET else ["--budget", str(budget)])
+
+
 def _skip(lemma: str, case_id: str, params: dict, detail: str) -> HarnessCase:
     return HarnessCase(lemma, case_id, "skipped", params, detail)
 
@@ -186,8 +192,8 @@ def _suite_l21a(p: HarnessParams) -> list[HarnessCase]:
             direct = Quot_of(Up(Lit(b_set)), m)
             for x in range(1, 201):
                 if member(rule, x, p.budget).proved != member(direct, x, p.budget).proved:
-                    yield (sorted(b_set), m, x), [
-                        "member", render(Quot(Up(Lit(b_set)), m)), str(x)]
+                    yield (sorted(b_set), m, x), _replay(
+                        p.budget, "member", render(Quot(Up(Lit(b_set)), m)), str(x))
         return "40 seeded prime sets"
 
     # D(F.G) restricted to prime-up sets sits inside D(F) union D(G)
@@ -198,8 +204,8 @@ def _suite_l21a(p: HarnessParams) -> list[HarnessCase]:
             e = Up(Lit(b_set))
             if product_member(f, g, e, p.budget).proved and not (
                     d_member(f, e, p.budget).proved or d_member(g, e, p.budget).proved):
-                yield sorted(b_set), ["product-member", f.spec_text(),
-                                      g.spec_text(), render(e)]
+                yield sorted(b_set), _replay(p.budget, "product-member", f.spec_text(),
+                                             g.spec_text(), render(e))
         return "prime-up targets over seeded sets"
 
     # the list evaluates in order, so case_rule's draws all precede d_disjunction's
@@ -265,7 +271,8 @@ def _suite_l21b(p: HarnessParams) -> list[HarnessCase]:
                 witness = _brute_refutation(f_members, g_members, b_set, bound)
                 if fast.proved == (witness is not None):
                     yield (f"fast path disagrees with unfolding, witness {witness}",
-                           ["product-member", f.spec_text(), g.spec_text(), render(e)])
+                           _replay(p.budget, "product-member", f.spec_text(),
+                                   g.spec_text(), render(e)))
         rate = f"unknown rate {unknowns}/{total}"
         if unknowns * 5 >= total:  # 20% or more unknowns
             yield rate, None
@@ -289,8 +296,9 @@ def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
                     got = product_member(f, points[g_pt - 1], target, budget).proved
                     want = f_pt % q == 0 or g_pt % q == 0
                     if got != want:
-                        yield (q, f_pt, g_pt), ["product-member", f"principal:{f_pt}",
-                                                f"principal:{g_pt}", render(target)]
+                        yield (q, f_pt, g_pt), _replay(
+                            budget, "product-member", f"principal:{f_pt}",
+                            f"principal:{g_pt}", render(target))
         return f"primes <= 100, points <= {bound}"
 
     bound = p.bound or 300
@@ -306,7 +314,8 @@ def _suite_t33(p: HarnessParams) -> list[HarnessCase]:
             f = points[m - 1]
             for n in range(1, bound + 1):
                 if divides_tilde(f, points[n - 1], budget).proved != (n % m == 0):
-                    yield (m, n), ["divides", f"principal:{m}", f"principal:{n}"]
+                    yield (m, n), _replay(budget, "divides", f"principal:{m}",
+                                          f"principal:{n}")
         return f"all pairs <= {bound}"
 
     bound = p.bound or 500
@@ -337,8 +346,8 @@ def _suite_l34(p: HarnessParams) -> list[HarnessCase]:
             "L3.4-eq3", case_id, ok, params,
             detail=f"verdict {v.state.value}, expected "
                    f"{'proved' if expect_proved else 'refuted'}",
-            replay=["interp", f.spec_text(), g.spec_text(),
-                    "--bound", str(bound)],
+            replay=_replay(p.budget, "interp", f.spec_text(), g.spec_text(),
+                           "--bound", str(bound)),
         ))
     return cases
 
@@ -359,7 +368,7 @@ def _suite_e35b(p: HarnessParams) -> list[HarnessCase]:
                 got = member(FACTORIALS, m * base, p.budget)
                 want = m * base in table
                 if (m == n and not want) or got.proved != want or got.refuted == want:
-                    yield (n, m), ["member", "factorials", str(m * base)]
+                    yield (n, m), _replay(p.budget, "member", "factorials", str(m * base))
         return "2 <= n <= 12, m <= 12"
 
     return [_first("E3.5b", "factorial-shadow", {}, search())]
@@ -381,7 +390,8 @@ def _suite_l37(p: HarnessParams) -> list[HarnessCase]:
                     checked += 1
                     sf, sg = scale_filter(f, h), scale_filter(g, h)
                     if not divides_tilde(sf, sg, p.budget).proved:
-                        yield (f, g, h), ["divides", sf.spec_text(), sg.spec_text()]
+                        yield (f, g, h), _replay(p.budget, "divides", sf.spec_text(),
+                                                 sg.spec_text())
         return f"{checked} scaled pairs"
 
     return [_first("L3.7", "scale-shadow", {"h_max": h_max}, search())]
@@ -393,27 +403,26 @@ def _suite_t42(p: HarnessParams) -> list[HarnessCase]:
     k = p.k or 6
     limit = p.bound or 10**6
     params = {"k": k, "bound": limit}
-    chain = build_chain(k, scheme="residue")
+    chain = build_chain(k, budget=p.budget)
     report = verify_chain(chain, limit, p.budget)
-    cases = []
-    violated = [pr for pr in report.pairs if not pr.ok]
-    cases.append(_case(
-        "T4.2", "invariant-4", report.passed, params,
-        detail=(f"all {len(report.pairs)} pairs as expected" if report.passed
-                else f"violated pairs {[(v.beta, v.alpha) for v in violated]}"),
-        replay=["chain-verify", str(k), "--scheme", "residue",
-                "--bound", str(limit)],
-    ))
-    chain_ok = all(
-        divides_tilde(chain.links[j], chain.links[j + 1], p.budget).proved
-        for j in range(k)
-    )
-    cases.append(_case(
-        "T4.2", "chain-law", chain_ok, params,
-        detail="consecutive links tilde-divide" if chain_ok else "broken link",
-        replay=["chain-verify", str(k)],
-    ))
-    return cases
+    violated = [(v.beta, v.alpha) for v in report.pairs if not v.ok]
+
+    def chain_law():
+        for j in range(k):
+            f, g = chain.links[j], chain.links[j + 1]
+            if not divides_tilde(f, g, p.budget).proved:
+                yield f"broken link {j} to {j + 1}", _replay(
+                    p.budget, "divides", f.spec_text(), g.spec_text())
+        return "consecutive links tilde-divide"
+
+    return [
+        _case("T4.2", "invariant-4", report.passed, params,
+              detail=(f"all {len(report.pairs)} pairs as expected" if report.passed
+                      else f"violated pairs {violated}"),
+              replay=_replay(p.budget, "chain-verify", str(k), "--scheme", "residue",
+                             "--bound", str(limit))),
+        _first("T4.2", "chain-law", params, chain_law()),
+    ]
 
 
 # --- L5.3: duality on the corpus ------------------------------------------------
@@ -427,7 +436,7 @@ def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
         cover = syntactic_cover(e)
         if cover is not None:
             try:
-                size, cert = max_strong_antichain(e, bound, mode="exact")
+                size, cert = max_strong_antichain(e, bound, mode="exact", budget=p.budget)
             except IncompleteEnumerationError:
                 cases.append(_skip("L5.3", name, params, "incomplete enumeration"))
                 continue
@@ -435,7 +444,7 @@ def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
             cases.append(_case(
                 "L5.3", name, ok, params,
                 detail=f"cover size {len(cover)}, exact antichain {size}",
-                replay=["antichain", name, "--bound", str(bound), "--exact"],
+                replay=_replay(p.budget, "antichain", name, "--bound", str(bound), "--exact"),
             ))
             continue
         verdict = is_n_free(e, p.budget)
@@ -449,7 +458,7 @@ def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
                 "L5.3", name, ok, params,
                 detail="antichains of sizes 1..6 found" if ok
                        else f"no antichain of size {missing}",
-                replay=["antichain", name, "--bound", "100000", "--greedy"],
+                replay=_replay(p.budget, "antichain", name, "--bound", "100000", "--greedy"),
             ))
         else:
             cases.append(_skip("L5.3", name, params,
@@ -476,7 +485,8 @@ def _suite_t54ii(p: HarnessParams) -> list[HarnessCase]:
             cases.append(_case(
                 "T5.4ii", name, ok, {"filter": fname, "expression": render(e)},
                 detail="antichains of sizes 1..4 found" if ok else "missing size",
-                replay=["antichain", render(e), "--bound", "100000", "--greedy"],
+                replay=_replay(p.budget, "antichain", render(e), "--bound", "100000",
+                               "--greedy"),
             ))
     return cases
 
@@ -504,26 +514,23 @@ def _suite_t55(p: HarnessParams) -> list[HarnessCase]:
             cases.append(_skip("T5.5", name, params, "pair not proved N-free"))
             continue
         x: list[int] = []
-        ok = True
-        detail = ""
+        detail, replay = "", None  # only the intersection check is a CLI query
         for _ in range(6):
             w = lcm_extension(a, b, x, limit, p.budget)
             if w is None:
-                ok, detail = False, f"no extension of X={x}"
+                detail = f"no extension of X={x}"
                 break
-            inter = Inter(a, b)
-            if not member(inter, w.value, max(p.budget, w.value)).proved:
-                ok, detail = False, f"lcm {w.value} not in intersection"
+            inter, budget = Inter(a, b), max(p.budget, w.value)
+            if not member(inter, w.value, budget).proved:
+                detail = f"lcm {w.value} not in intersection"
+                replay = _replay(budget, "member", render(inter), str(w.value))
                 break
             if any(math.gcd(w.value, y) != 1 for y in x):
-                ok, detail = False, f"lcm {w.value} not coprime to X={x}"
+                detail = f"lcm {w.value} not coprime to X={x}"
                 break
             x.append(w.value)
-        cases.append(_case(
-            "T5.5", name, ok, params,
-            detail=detail or f"grew X to {x}",
-            replay=["member", render(Inter(a, b)), str(x[-1] if x else 1)],
-        ))
+        cases.append(_case("T5.5", name, not detail, params,
+                           detail=detail or f"grew X to {x}", replay=replay))
     return cases
 
 

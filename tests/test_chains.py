@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from divfilters.arith import omega
@@ -10,10 +12,10 @@ from divfilters.chains import (
 )
 from divfilters import chains
 from divfilters.errors import FilterConstructionError, PreconditionError
-from divfilters.filters import divides_tilde, principal
+from divfilters.filters import divides_tilde, make_filter, principal
 from divfilters.antichain import is_n_free
 from divfilters.semantics import enumerate_upto
-from divfilters.setexpr import Lit, PrimesGeom, PrimesIdx, ProdSet, Union, parse_expr
+from divfilters.setexpr import Lit, PrimesGeom, PrimesIdx, ProdSet, Union, Up, parse_expr
 from divfilters.verdict import unknown
 
 BUDGET = 10**4
@@ -37,6 +39,22 @@ def test_ad_family_tree_pairwise_small_intersections():
             assert len(sets[i] & sets[j]) <= cap
 
 
+@pytest.mark.parametrize("scheme", ["residue", "tree"])
+def test_ad_family_members_meet_only_where_the_scheme_allows(scheme):
+    # what chains rely on: residue members are disjoint, and two tree
+    # members share only primes in both of their literal prefix sets
+    for k in (1, 2, 3, 8, 16, 40):
+        family = ad_family(k, scheme)
+        members = [set(enumerate_upto(a, BUDGET, BUDGET)[0]) for a in family]
+        assert all(members)
+        for i, j in itertools.combinations(range(k), 2):
+            if scheme == "residue":
+                assert not members[i] & members[j]
+            else:
+                shared = family[i].left.elements & family[j].left.elements
+                assert members[i] & members[j] <= shared
+
+
 def test_build_chain_shape():
     chain = build_chain(3, scheme="residue")
     assert chain.length == 3
@@ -52,7 +70,9 @@ def test_build_chain_trivial_and_rejections():
     chain = build_chain(0)
     assert chain.length == 0 and len(chain.links) == 1
     with pytest.raises(PreconditionError):
-        build_chain(2, family=[parse_expr("P"), parse_expr("P")])
+        build_chain(-1)
+    with pytest.raises(PreconditionError):
+        build_chain(2, scheme="nope")
 
 
 def test_chain_law():
@@ -116,12 +136,15 @@ def test_chain_spec_serializes():
 
 def test_omission_witness_inside_target_is_not_proved():
     # 1 lies in the second member, so its upward closure is all of N and
-    # every avoiding product meets it; that shows an overlap, not inclusion
-    family = [
+    # every avoiding product meets it; that shows an overlap, not inclusion.
+    # The chain has the links build_chain makes, over a family it never uses.
+    family = (
         Union(Lit(frozenset({2})), PrimesGeom(2, 2)),
         Union(Lit(frozenset({1})), PrimesGeom(3, 2)),
-    ]
-    chain = build_chain(2, family=family)
+    )
+    links = (principal(1),) + tuple(make_filter([Up(ProdSet(family[:j]))]) for j in (1, 2))
+    prime_filters = tuple(make_filter([Up(a)]) for a in family)
+    chain = ChainSpec(2, family, links, prime_filters, "by-hand")
     report = verify_chain(chain, 1000, BUDGET)
     pair = next(p for p in report.pairs if (p.beta, p.alpha) == (1, 1))
     assert pair.verdict.unknown and pair.verdict.certificate == 2

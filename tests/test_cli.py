@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from divfilters import cli
+from divfilters import chains, cli
 from divfilters.cli import main
 from divfilters.harness import HarnessParams, run_harness
+from divfilters.verdict import refuted
 
 
 def run(capsys, argv):
@@ -77,12 +78,19 @@ def test_usage_errors_exit_64(capsys):
     ["member", "mult(5)", "\u0665"],  # Arabic-Indic 5
     ["member", "mult(5)", "+10"],
     ["member", "mult(5)", " 10"],
+    # past the interpreter's 4,300-digit limit on int()
+    ["member", "mult(5)", "9" * 5000],
+    ["divides", "principal:" + "9" * 5000, "principal:6"],
 ])
 def test_non_natural_bounds_and_budgets_exit_64(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 64
     assert out == ""
-    assert "expected a natural >= 1" in err
+    if any(len(arg) > 4300 for arg in argv):
+        assert "natural number has too many digits" in err
+        assert "9" * 50 not in err and "_natural" not in err
+    else:
+        assert "expected a natural >= 1" in err
 
 
 def test_usage_error_prints_grammar_hint(capsys):
@@ -115,6 +123,31 @@ def test_chain_verify(capsys):
     code, out, _ = run(capsys, ["chain-verify", "2", "--json"])
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_chain_verify_exits_2_when_failing_pairs_are_only_unknown(capsys):
+    # at bound 3 no avoiding product is found for the 6 omissions with
+    # alpha >= 2; Unknown is not a refutation of the invariant
+    code, out, _ = run(capsys, ["chain-verify", "6", "--bound", "3"])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[-1] == "passed  False"
+    failing = [line for line in lines[:-1] if line.endswith("ok=False")]
+    assert len(failing) == 6
+    assert all("verdict=unknown-at-bound" in line for line in failing)
+
+
+def test_chain_verify_exits_1_when_a_pair_is_decided_wrongly(capsys, monkeypatch):
+    right = chains.divides_tilde
+    first_link = "gen:[up(prodset(primesIdx(1,6)))]"
+    monkeypatch.setattr(chains, "divides_tilde", lambda f, g, budget: (
+        refuted(budget) if g.spec_text() == first_link else right(f, g, budget)))
+    code, out, _ = run(capsys, ["chain-verify", "6"])
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith("ok=False")] == [
+        "beta=0 alpha=1 expect=divides verdict=refuted ok=False"]
+    # a decided failure outweighs Unknown ones
+    assert run(capsys, ["chain-verify", "6", "--bound", "3"])[0] == 1
 
 
 def test_chain_verify_tree_scheme_passes(capsys):

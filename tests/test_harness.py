@@ -8,9 +8,11 @@ import random
 import pytest
 
 from divfilters import cli, filters, harness, semantics
+from divfilters.antichain import LcmWitness
+from divfilters.chains import build_chain
 from divfilters.errors import PreconditionError
 from divfilters.harness import HarnessParams, _sample_prime_sets, run_harness
-from divfilters.setexpr import Factorials, Lit, Quot, Up, render
+from divfilters.setexpr import Factorials, Inter, Lit, Quot, Up, render
 from divfilters.verdict import proved, refuted, unknown
 
 
@@ -27,14 +29,15 @@ def _flip_member_at(monkeypatch, node_class, point):
     monkeypatch.setitem(semantics._HANDLERS, node_class, wrong)
 
 
-def _flip_divides_at(monkeypatch, f_spec, g_spec):
-    """divides_tilde answers the opposite of the truth for one pair, both in
-    the harness and in the CLI, which imports it when it runs."""
+def _flip_divides_at(monkeypatch, f_spec, g_spec, at_budget=None):
+    """divides_tilde answers the opposite of the truth for one pair (only
+    at_budget, if given), both in the harness and in the CLI, which imports
+    it when it runs."""
     right = filters.divides_tilde
 
     def wrong(f, g, budget=semantics.DEFAULT_BUDGET):
         v = right(f, g, budget)
-        if (f.spec_text(), g.spec_text()) != (f_spec, g_spec):
+        if (f.spec_text(), g.spec_text()) != (f_spec, g_spec) or at_budget not in (None, budget):
             return v
         return refuted(budget) if v.proved else proved(budget)
 
@@ -48,8 +51,8 @@ def _answer_prime_up_products(monkeypatch, verdict):
     monkeypatch.setattr(filters, "three_valued_or", lambda a, b: verdict(a.budget))
 
 
-def _failing(lemma, case_id):
-    case = next(c for c in run_harness([lemma]).cases if c.case_id == case_id)
+def _failing(lemma, case_id, params=None):
+    case = next(c for c in run_harness([lemma], params).cases if c.case_id == case_id)
     assert case.outcome == "fail"
     return case
 
@@ -132,6 +135,40 @@ def test_l37_counterexample_replays(monkeypatch, capsys):
     assert case.detail == str((one, one, 3))
     assert case.replay == ["divides", "principal:3", "principal:3"]
     assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+
+def test_replay_carries_the_suite_budget(monkeypatch, capsys):
+    # the pair is flipped at budget 300 only, so only a replay at the
+    # suite's budget asks what the suite saw
+    _flip_divides_at(monkeypatch, "principal:2", "principal:4", at_budget=300)
+    assert run_harness(["T3.3"]).passed
+    case = _failing("T3.3", "principal-equivalence", HarnessParams(budget=300))
+    assert case.replay == ["divides", "principal:2", "principal:4", "--budget", "300"]
+    assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+
+def test_t42_chain_law_names_the_broken_link(monkeypatch, capsys):
+    links = [f.spec_text() for f in build_chain(6).links]
+    _flip_divides_at(monkeypatch, links[2], links[3])
+    case = _failing("T4.2", "chain-law")
+    assert case.detail == "broken link 2 to 3"
+    assert case.replay == ["divides", links[2], links[3]]
+    assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+
+def test_t55_lcm_outside_the_intersection_replays(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "lcm_extension",
+                        lambda a, b, x, limit, budget: LcmWitness(1, 1, 1))
+    a, b = harness._nfree_up_pairs(random.Random(0), 1)[0]
+    case = _failing("T5.5", f"pair-0:{render(a)}|{render(b)}")
+    assert case.detail == "lcm 1 not in intersection"
+    assert case.replay == ["member", render(Inter(a, b)), "1"]
+    assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+    # no CLI query asks for an extension, so that failure has no replay
+    monkeypatch.setattr(harness, "lcm_extension", lambda a, b, x, limit, budget: None)
+    case = _failing("T5.5", case.case_id)
+    assert (case.detail, case.replay) == ("no extension of X=[]", None)
 
 
 @pytest.mark.parametrize("field", ["bound", "budget", "k"])
