@@ -89,10 +89,6 @@ class _Sieve:
     def limit(self) -> int:
         return self._limit
 
-    def spf(self, m: int) -> int:
-        self.ensure(m)
-        return self._spf[m]
-
     def primes_upto(self, m: int) -> list[int]:
         self.ensure(max(m, 2))
         return self._primes[: bisect_right(self._primes, m)]
@@ -179,8 +175,9 @@ def factorize(m: int) -> Factorization:
     n = m
     if n <= _SIEVE.cap:
         _SIEVE.ensure(n)
+        spf = _SIEVE._spf
         while n > 1:
-            p = _SIEVE.spf(n)
+            p = spf[n]
             e = 0
             while n % p == 0:
                 n //= p
@@ -210,8 +207,17 @@ def factorize(m: int) -> Factorization:
 
 
 def omega(m: int) -> int:
-    """Number of prime factors of m counted with multiplicity; omega(1) = 0."""
-    return sum(e for _, e in factorize(m).factors)
+    """Number of prime factors of m counted with multiplicity; omega(1) = 0.
+    Walks the sieve as prime_support does."""
+    _check_natural(m)
+    spf = _SIEVE._spf
+    if m >= len(spf):
+        return sum(e for _, e in factorize(m).factors)
+    count = 0
+    while m > 1:
+        m //= spf[m]
+        count += 1
+    return count
 
 
 def omega_table(n: int) -> bytearray:

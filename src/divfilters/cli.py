@@ -90,6 +90,21 @@ def _natural(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """The argparse type of a chain length and a seed: any int that int()
+    reads. A numeral past the interpreter's digit limit is refused with a
+    message that does not echo its digits."""
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip().replace("_", "")
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if body.isdecimal() and len(body) > sys.get_int_max_str_digits() > 0:
+            raise argparse.ArgumentTypeError("integer has too many digits") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         payload = {"schema": SCHEMA_VERSION, **payload}
@@ -146,11 +161,11 @@ def build_parser() -> _Parser:
     p.add_argument("--bound", type=_natural, default=10**4)
 
     p = add("chain-build", help="build a finite divisibility chain")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.add_argument("--scheme", choices=("residue", "tree"), default="residue")
 
     p = add("chain-verify", help="build and verify a chain's invariant")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p.add_argument("--scheme", choices=("residue", "tree"), default="residue")
     p.add_argument("--bound", type=_natural, default=10**6)
 
@@ -158,7 +173,7 @@ def build_parser() -> _Parser:
     p.add_argument("lemmas", nargs="*", metavar="LEMMA",
                    help="suite ids, default all")  # listed by format_help
     p.add_argument("--bound", type=_natural)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--corpus", help="corpus file, or 'default'")
     p.add_argument("--k", type=_natural, help="chain length for T4.2")
 
@@ -289,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _run(args)
     except _UsageError as exc:
+        # no grammar hint: most usage errors are not about an expression
         print(f"usage error: {exc}", file=sys.stderr)
-        print(GRAMMAR_HINT, file=sys.stderr)
         return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)

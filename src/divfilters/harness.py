@@ -290,12 +290,11 @@ def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
         points = [principal(i) for i in range(1, bound + 1)]
         for q in arith.primes_upto(100):
             target = Up(Lit(frozenset({q})))
-            for f_pt in range(1, bound + 1):
-                f = points[f_pt - 1]
-                for g_pt in range(1, bound + 1):
-                    got = product_member(f, points[g_pt - 1], target, budget).proved
-                    want = f_pt % q == 0 or g_pt % q == 0
-                    if got != want:
+            for f_pt, f in enumerate(points, 1):
+                f_in = f_pt % q == 0
+                for g_pt, g in enumerate(points, 1):
+                    got = product_member(f, g, target, budget).proved
+                    if got != (f_in or g_pt % q == 0):
                         yield (q, f_pt, g_pt), _replay(
                             budget, "product-member", f"principal:{f_pt}",
                             f"principal:{g_pt}", render(target))

@@ -22,11 +22,16 @@ with no entry raises TypeError. A handler evaluates a child only through the
 module-level name _member, never by calling another handler, so a wrapper
 installed on that name (a tracer, a counter) sees every evaluation.
 
+A handler returns a verdict and never changes one (see verdict): a
+certificate-free answer is the shared PROVED_AT[budget], REFUTED_AT[budget]
+or UNKNOWN_AT[budget], and a connective may return a child's verdict as its
+own.
+
 To add a node class: declare it in setexpr, syntax included (the only
 syntax edit), as a final class, since every lookup is by exact type; write a
-handler _member_<name>(e, m, budget) that builds a fresh Verdict and add the
-pair to _HANDLERS; add a rule to facts() and a branch to _range. A class
-missing from any of the three raises TypeError there.
+handler _member_<name>(e, m, budget) and add the pair to _HANDLERS; add a
+rule to facts() and a branch to _range. A class missing from any of the
+three raises TypeError there.
 
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges. It falls back
@@ -82,6 +87,10 @@ from .verdict import (
     _PROVED,
     _REFUTED,
     _UNKNOWN,
+    DEFAULT_BUDGET,
+    PROVED_AT,
+    REFUTED_AT,
+    UNKNOWN_AT,
     ProofState,
     Verdict,
     proved,
@@ -91,8 +100,6 @@ from .verdict import (
     three_valued_or,
     unknown,
 )
-
-DEFAULT_BUDGET = 10**4
 
 
 def _iroot(m: int, n: int) -> int:
@@ -241,57 +248,58 @@ def _member(e: SetExpr, m: int, budget: int) -> Verdict:
 
 
 # One handler per node class, reached only through _member (see the module
-# docstring). Verdicts are mutable, so each handler builds a new one.
+# docstring). Verdicts are values: a certificate-free one is the shared
+# X_AT[budget], and a handler may return a child's verdict as its own.
 
 
 def _member_mult(e: Mult, m: int, budget: int) -> Verdict:
-    return Verdict(_PROVED if m % e.n == 0 else _REFUTED, budget)
+    return PROVED_AT[budget] if m % e.n == 0 else REFUTED_AT[budget]
 
 
 def _member_lit(e: Lit, m: int, budget: int) -> Verdict:
-    return Verdict(_PROVED if m in e.elements else _REFUTED, budget)
+    return PROVED_AT[budget] if m in e.elements else REFUTED_AT[budget]
 
 
 def _member_nat(e: Nat, m: int, budget: int) -> Verdict:
-    return Verdict(_PROVED, budget)
+    return PROVED_AT[budget]
 
 
 def _member_empty(e: Empty, m: int, budget: int) -> Verdict:
-    return Verdict(_REFUTED, budget)
+    return REFUTED_AT[budget]
 
 
 def _member_primes(e: Primes, m: int, budget: int) -> Verdict:
-    return Verdict(_PROVED if arith.is_prime(m) else _REFUTED, budget)
+    return PROVED_AT[budget] if arith.is_prime(m) else REFUTED_AT[budget]
 
 
 def _member_level(e: Level, m: int, budget: int) -> Verdict:
-    return Verdict(_PROVED if arith.omega(m) == e.n else _REFUTED, budget)
+    return PROVED_AT[budget] if arith.omega(m) == e.n else REFUTED_AT[budget]
 
 
 def _member_primes_idx(e: PrimesIdx, m: int, budget: int) -> Verdict:
     if not arith.is_prime(m):
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     idx = arith.prime_index(m)
     if (idx - e.r) % e.m == 0:
         return Verdict(_PROVED, budget, idx)
-    return Verdict(_REFUTED, budget)
+    return REFUTED_AT[budget]
 
 
 def _member_primes_geom(e: PrimesGeom, m: int, budget: int) -> Verdict:
     if not arith.is_prime(m):
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     idx = arith.prime_index(m)
     if idx % e.c != 0:
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     v = idx // e.c
     while v % e.q == 0:
         v //= e.q
-    return Verdict(_PROVED, budget, idx) if v == 1 else Verdict(_REFUTED, budget)
+    return Verdict(_PROVED, budget, idx) if v == 1 else REFUTED_AT[budget]
 
 
 def _member_factorials(e: Factorials, m: int, budget: int) -> Verdict:
     k = _is_factorial(m)
-    return Verdict(_PROVED, budget, k) if k is not None else Verdict(_REFUTED, budget)
+    return Verdict(_PROVED, budget, k) if k is not None else REFUTED_AT[budget]
 
 
 def _member_up(e: Up, m: int, budget: int) -> Verdict:
@@ -303,21 +311,21 @@ def _member_up(e: Up, m: int, budget: int) -> Verdict:
             (s,) = elements
             if m % s == 0:
                 return Verdict(_PROVED, budget, s)
-            return Verdict(_REFUTED, budget)
+            return REFUTED_AT[budget]
         for s in sorted(elements):
             if m % s == 0:
                 return Verdict(_PROVED, budget, s)
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     if type(inner) is Mult:
         n = inner.n
-        return Verdict(_PROVED, budget, n) if m % n == 0 else Verdict(_REFUTED, budget)
+        return Verdict(_PROVED, budget, n) if m % n == 0 else REFUTED_AT[budget]
     factors = inner.args if type(inner) is ProdSet else (inner,)
     if all(facts(a).primes for a in factors):
         # every member of inner is a product of len(factors) distinct primes,
         # and inner refutes every other divisor of m before it evaluates
         # anything else: ask only about those products, ascending like the
         # divisors
-        primes = [p for p, _ in arith.factorize(m).factors]
+        primes = sorted(arith.prime_support(m))
         candidates = sorted(map(math.prod, combinations(primes, len(factors))))
     else:
         candidates = arith.divisors(m)
@@ -328,7 +336,7 @@ def _member_up(e: Up, m: int, budget: int) -> Verdict:
             return Verdict(_PROVED, budget, d)
         if state is _UNKNOWN:
             saw_unknown = True
-    return Verdict(_UNKNOWN if saw_unknown else _REFUTED, budget)
+    return UNKNOWN_AT[budget] if saw_unknown else REFUTED_AT[budget]
 
 
 def _member_down(e: Down, m: int, budget: int) -> Verdict:
@@ -336,7 +344,7 @@ def _member_down(e: Down, m: int, budget: int) -> Verdict:
     if elements is not None:
         least = min((x for x in elements if x % m == 0), default=None)
         if least is None:
-            return Verdict(_REFUTED, budget)
+            return REFUTED_AT[budget]
         return Verdict(_PROVED, budget, least)
     if type(e.inner) is Factorials:
         # the first factorial divisible by m is the least multiple of m the
@@ -347,14 +355,14 @@ def _member_down(e: Down, m: int, budget: int) -> Verdict:
                 return Verdict(_PROVED, budget, f)
             k += 1
             f *= k
-        return Verdict(_UNKNOWN, budget)
+        return UNKNOWN_AT[budget]
     k = 1
     while k * m <= budget:
         if _member(e.inner, k * m, budget).state is _PROVED:
             return Verdict(_PROVED, budget, k * m)
         k += 1
     # the search space is unbounded above; finiteness cannot be refuted
-    return Verdict(_UNKNOWN, budget)
+    return UNKNOWN_AT[budget]
 
 
 def _member_quot(e: Quot, m: int, budget: int) -> Verdict:
@@ -363,7 +371,7 @@ def _member_quot(e: Quot, m: int, budget: int) -> Verdict:
 
 def _member_scale(e: Scale, m: int, budget: int) -> Verdict:
     if m % e.n != 0:
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     return _member(e.inner, m // e.n, budget)
 
 
@@ -388,7 +396,7 @@ def _member_inter(e: Inter, m: int, budget: int) -> Verdict:
 def _member_pow(e: PowSet, m: int, budget: int) -> Verdict:
     x = _iroot(m, e.n)
     if x**e.n != m:
-        return Verdict(_REFUTED, budget)
+        return REFUTED_AT[budget]
     v = _member(e.base, x, budget)
     if v.state is _PROVED:
         return Verdict(_PROVED, budget, x)
@@ -404,7 +412,7 @@ def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
         # m must be a product of k distinct primes matched one per argument
         fac = arith.factorize(m)
         if any(exp != 1 for _, exp in fac.factors) or len(fac.factors) != k:
-            return refuted(budget)
+            return REFUTED_AT[budget]
         primes = [p for p, _ in fac.factors]
         states = [[_member(a, p, budget).state for p in primes] for a in args]
         matched = _match(primes, states, (_PROVED,))
@@ -413,8 +421,8 @@ def _prodset_member(e: ProdSet, m: int, budget: int) -> Verdict:
         # a matching that needs an Unknown verdict may exist at a larger budget
         if any(_UNKNOWN in row for row in states) and \
                 _match(primes, states, (_PROVED, _UNKNOWN)) is not None:
-            return unknown(budget)
-        return refuted(budget)
+            return UNKNOWN_AT[budget]
+        return REFUTED_AT[budget]
     return _prodset_backtrack(args, m, budget)
 
 
@@ -479,7 +487,7 @@ def _prodset_backtrack(args: tuple[SetExpr, ...], m: int, budget: int) -> Verdic
     witness = go(0, m, ())
     if witness is not None:
         return proved(budget, witness)
-    return unknown(budget) if saw_unknown else refuted(budget)
+    return UNKNOWN_AT[budget] if saw_unknown else REFUTED_AT[budget]
 
 
 _HANDLERS = {

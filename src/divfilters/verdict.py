@@ -3,20 +3,38 @@
 Proved and Refuted are final: re-running a query with a larger budget must
 never flip them. UnknownAtBound records the budget at which search stopped.
 
+A verdict is a value: nothing assigns to it once it is built, and a test
+checks that the package's own code never does. So one certificate-free
+verdict per state and budget serves every caller: PROVED_AT[budget],
+REFUTED_AT[budget] and UNKNOWN_AT[budget] build it on first use and keep
+it, for at most SHARED_BUDGETS budgets per state, DEFAULT_BUDGET always
+among them, and proved(), refuted() and unknown() without a certificate
+return it. Only a verdict with a certificate is built afresh. Its flags
+proved, refuted, unknown and decided are slots set by the constructor, not
+properties. The evaluator answers millions of queries a harness run, most of
+them with a certificate-free verdict. The rule is not enforced at run time:
+read-only fields made a harness round 17% slower as a tuple subclass and
+33% slower with a __setattr__ that raises (Python 3.11, 2-vCPU machine),
+since a round reads the fields millions of times and builds half a million
+fresh verdicts.
+
 The three states are also bound once as module constants, _PROVED, _REFUTED
 and _UNKNOWN, which the state checks and constructors here and the member
 handlers in semantics use. On Python 3.11 reading ProofState.PROVED goes
 through the Enum metaclass and costs about 130 ns, where a global read
-costs a fraction of that, and the harness builds and tests millions of
-verdicts a run.
+costs a fraction of that.
 """
 
 from __future__ import annotations
 
+import threading
 from enum import Enum
 
 # version tag of every JSON payload: CLI output and harness reports
 SCHEMA_VERSION = "divfilters/1"
+
+# budget of every query that names none
+DEFAULT_BUDGET = 10**4
 
 
 class ProofState(Enum):
@@ -37,28 +55,17 @@ class Verdict:
     or the name of the structural rule that applied.
     """
 
-    __slots__ = ("state", "budget", "certificate")
+    __slots__ = ("state", "budget", "certificate", "proved", "refuted", "unknown",
+                 "decided")
 
     def __init__(self, state: ProofState, budget: int, certificate: object = None):
         self.state = state
         self.budget = budget
         self.certificate = certificate
-
-    @property
-    def proved(self) -> bool:
-        return self.state is _PROVED
-
-    @property
-    def refuted(self) -> bool:
-        return self.state is _REFUTED
-
-    @property
-    def unknown(self) -> bool:
-        return self.state is _UNKNOWN
-
-    @property
-    def decided(self) -> bool:
-        return self.state is not _UNKNOWN
+        self.proved = state is _PROVED
+        self.refuted = state is _REFUTED
+        self.unknown = state is _UNKNOWN
+        self.decided = state is not _UNKNOWN
 
     def __repr__(self):
         cert = f", certificate={self.certificate!r}" if self.certificate is not None else ""
@@ -78,15 +85,57 @@ class Verdict:
         return out
 
 
+# budgets kept per state, DEFAULT_BUDGET always among them; a caller that
+# walks through many budgets gets equal verdicts past this many, built
+# afresh, and memory stays bounded
+SHARED_BUDGETS = 64
+
+
+class _SharedVerdicts(dict):
+    """budget -> the certificate-free verdict of one state at that budget."""
+
+    __slots__ = ("state", "_lock")
+
+    def __init__(self, state: ProofState):
+        super().__init__()
+        self.state = state
+        self._lock = threading.Lock()
+
+    def __missing__(self, budget: int) -> Verdict:
+        # look again and store under the lock: concurrent callers get one
+        # object per stored budget, and the table never passes SHARED_BUDGETS;
+        # one place stays free for DEFAULT_BUDGET, so one-off budgets cannot
+        # crowd out the budget most queries use
+        with self._lock:
+            v = self.get(budget)
+            if v is None:
+                v = Verdict(self.state, budget)
+                room = SHARED_BUDGETS - (DEFAULT_BUDGET not in self)
+                if budget == DEFAULT_BUDGET or len(self) < room:
+                    self[budget] = v
+        return v
+
+
+PROVED_AT = _SharedVerdicts(_PROVED)
+REFUTED_AT = _SharedVerdicts(_REFUTED)
+UNKNOWN_AT = _SharedVerdicts(_UNKNOWN)
+
+
 def proved(budget: int, certificate: object = None) -> Verdict:
+    if certificate is None:
+        return PROVED_AT[budget]
     return Verdict(_PROVED, budget, certificate)
 
 
 def refuted(budget: int, certificate: object = None) -> Verdict:
+    if certificate is None:
+        return REFUTED_AT[budget]
     return Verdict(_REFUTED, budget, certificate)
 
 
 def unknown(budget: int, certificate: object = None) -> Verdict:
+    if certificate is None:
+        return UNKNOWN_AT[budget]
     return Verdict(_UNKNOWN, budget, certificate)
 
 

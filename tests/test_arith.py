@@ -43,6 +43,46 @@ def test_prime_support_equals_factorize():
         arith.prime_support(0)
 
 
+def _trial_factors(m):
+    """The (prime, exponent) pairs of m by trial division, with no sieve."""
+    pairs, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            pairs.append((d, e))
+        d += 1 if d == 2 else 2
+    if m > 1:
+        pairs.append((m, 1))
+    return tuple(pairs)
+
+
+# ascending, so that each is past the sieve that the ones before it grew:
+# 1025 just past the initial 1,024, 2**17 + 1 past 2,048, 999983 past 2**18,
+# the rest past the cap
+PAST_THE_SIEVE = [1025, 2**17 + 1, 999983, 10**6 + 3, 2**3 * 3 * 1000003,
+                  999983 * 999979, 10**12 + 39]
+
+
+def test_sieve_walks_equal_trial_division(monkeypatch):
+    reference = {m: _trial_factors(m) for m in [*range(1, 10**5 + 1), *PAST_THE_SIEVE]}
+    expected = {
+        arith.omega: lambda m: sum(e for _, e in reference[m]),
+        arith.prime_support: lambda m: frozenset(p for p, _ in reference[m]),
+        arith.factorize: lambda m: arith.Factorization(m, reference[m]),
+    }
+    for fn, want in expected.items():
+        monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+        for m in PAST_THE_SIEVE:
+            assert arith._SIEVE.limit < m
+            assert fn(m) == want(m), m
+        assert arith._SIEVE.limit == arith.DEFAULT_SIEVE_CAP
+        for m in range(1, 10**5 + 1):
+            assert fn(m) == want(m), m
+
+
 def test_is_prime():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
     for n in range(1, 31):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -228,6 +229,50 @@ def test_natural_past_the_digit_limit_exits_64(capsys):
     code, out, err = run(capsys, ["member", "mult(" + "1" * 5000 + ")", "4"])
     assert (code, out) == (64, "")
     assert "offset 5" in err and "too many digits" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain-build", "9" * 5000],
+    ["chain-verify", "9" * 5000, "--json"],
+    ["harness", "L3.4-eq3", "--seed", "9" * 5000],
+    ["harness", "L3.4-eq3", "--seed", "-" + "9" * 5000],
+    ["harness", "L3.4-eq3", "--seed", " +9_" + "9" * 5000 + " "],
+])
+def test_chain_length_and_seed_past_the_digit_limit_exit_64(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (64, "")
+    assert "integer has too many digits" in err
+    assert "9" * 50 not in err and len(err.encode()) < 200
+
+
+def test_digit_limit_message_follows_the_interpreter_limit(capsys):
+    # a long text that is no numeral is an invalid int, not a long one
+    code, _, err = run(capsys, ["chain-build", "x" * 5000])
+    assert code == 64 and "invalid int value: 'xxx" in err
+    assert "too many digits" not in err
+    # the limit is the interpreter's, not a fixed 4300
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, _, err = run(capsys, ["chain-build", "9" * 700])
+        assert code == 64 and "integer has too many digits" in err
+        assert "9" * 50 not in err
+        sys.set_int_max_str_digits(0)  # no limit: a long numeral is an int
+        code, _, err = run(capsys, ["chain-build", "-" + "9" * 5000])
+        assert code == 64 and "k must be >= 0" in err
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_chain_length_and_seed_in_range_behave_as_ints(capsys):
+    code, _, err = run(capsys, ["chain-build", "-1"])
+    assert code == 64 and "k must be >= 0" in err
+    code, _, err = run(capsys, ["chain-build", "2x"])
+    assert code == 64 and "argument k: invalid int value: '2x'" in err
+    assert run(capsys, ["chain-build", "0", "--json"])[0] == 0
+    _, negative, _ = run(capsys, ["harness", "L3.4-eq3", "--seed", "-7", "--json"])
+    _, spaced, _ = run(capsys, ["harness", "L3.4-eq3", "--seed", " -7", "--json"])
+    assert json.loads(negative)["passed"] is True and negative == spaced
 
 
 # --- pinned outputs of the commands no other test runs ------------------------
