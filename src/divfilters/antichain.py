@@ -151,13 +151,13 @@ def max_strong_antichain(
     e: SetExpr,
     limit: int,
     mode: str = "exact",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[int, AntichainCertificate]:
     """Largest (exact) or maximal (greedy) pairwise-coprime subset of the
     members of e up to `limit`."""
     if mode not in ("exact", "greedy"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     candidates, complete = enumerate_upto(e, limit, budget)
     if not complete:
         raise IncompleteEnumerationError(
@@ -256,11 +256,11 @@ def _exact_antichain(
 
 
 def find_antichain_of_size(
-    e: SetExpr, size: int, limit: int, budget: int | None = None
+    e: SetExpr, size: int, limit: int, budget: int = DEFAULT_BUDGET
 ) -> AntichainCertificate | None:
     """Greedily grow a pairwise-coprime subset of e up to `size`, scanning
     members ascending; stops at the first success."""
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     size = max(size, 1)
     chosen = tuple(islice(_coprime_greedy(e, limit, budget), size))
     return AntichainCertificate(chosen, e, limit, "greedy") if len(chosen) == size else None
@@ -283,13 +283,13 @@ def covering_witness(
     k_max: int,
     n_max: int,
     limit: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> CoveringCertificate | None:
     """Smallest (minimal k, then lexicographic) cover {n_1..n_k}, n_i in
     [2, n_max], validated against all members of e up to `limit`."""
     if min(k_max, n_max, limit) < 1:
         raise PreconditionError("k_max, n_max and limit must be >= 1")
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     members, complete = enumerate_upto(e, limit, budget)
     if not complete:
         raise IncompleteEnumerationError(
@@ -339,11 +339,11 @@ def is_n_free(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
 
 def extend_antichain(
     e: SetExpr, x: set[int] | frozenset[int] | list[int], limit: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> int | None:
     """Least member of e up to `limit` coprime to every element of x."""
     _check_pairwise_coprime(x)
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     xs = sorted(x)
     for m, is_proved in scan(e, limit, budget):
         if not is_proved:
@@ -367,12 +367,12 @@ def lcm_extension(
     b_expr: SetExpr,
     x: set[int] | frozenset[int] | list[int],
     limit: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> LcmWitness | None:
     """Extend the pairwise-coprime set x inside the intersection of two
     upward-closed sets: pick least a in A and b in B coprime to x and return
     lcm(a, b), which lies in both by upward closure."""
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     for name, expr in (("A", a_expr), ("B", b_expr)):
         if not is_upward_closed(expr, budget).proved:
             raise PreconditionError(f"{name} = {render(expr)} is not proved upward closed")

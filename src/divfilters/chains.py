@@ -117,9 +117,10 @@ class ChainReport(Record):
         return {"passed": self.passed, "pairs": [p.to_json() for p in self.pairs]}
 
 
-def verify_chain(chain: ChainSpec, limit: int = 10**6, budget: int | None = None) -> ChainReport:
+def verify_chain(
+    chain: ChainSpec, limit: int = 10**6, budget: int = DEFAULT_BUDGET
+) -> ChainReport:
     """Check both halves of the chain invariant for every index pair."""
-    budget = budget or DEFAULT_BUDGET
     results: list[PairResult] = []
     k = chain.length
     for alpha in range(k + 1):

@@ -1,10 +1,12 @@
 """Command-line surface.
 
-Exit codes map the three-valued verdict so shell pipelines can branch on
-proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 = UnknownAtBound
-(chain-verify: some pairs Unknown, none decided wrongly), 64 = usage
-error, 70 = internal error (a crash, with its traceback on stderr). A crash
-never exits 0, 1 or 2.
+Every command ends in a payload and a proof state, and one tail prints the
+payload and exits with the state's code from one map, so shell pipelines
+can branch on proof state: 0 = Proved / pass, 1 = Refuted / fail, 2 =
+UnknownAtBound (chain-verify: some pairs Unknown, none decided wrongly;
+cover: a cover checked only up to the bound, or none found where one may
+exist), 64 = usage error, 70 = internal error (a crash, with its traceback
+on stderr). A crash never exits 0, 1 or 2.
 """
 
 # Start-up is part of every query's latency, so only the modules that the
@@ -20,15 +22,18 @@ import sys
 
 from . import arith
 from .errors import DivfiltersError, ParseError, PreconditionError
-from .semantics import DEFAULT_BUDGET, enumerate_upto
+from .semantics import DEFAULT_BUDGET, enumerate_upto, facts
 from .setexpr import NODE_CLASSES, parse_expr, render, usage
-from .verdict import SCHEMA_VERSION, Verdict
+from .verdict import SCHEMA_VERSION, ProofState
 
 EXIT_PROVED = 0
 EXIT_REFUTED = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+# the one place where a command's answer becomes an exit code
+EXIT_CODES = {ProofState.PROVED: EXIT_PROVED, ProofState.REFUTED: EXIT_REFUTED,
+              ProofState.UNKNOWN: EXIT_UNKNOWN}
 
 GRAMMAR_HINT = (
     "expressions: " + " | ".join(map(usage, NODE_CLASSES))
@@ -41,7 +46,8 @@ GRAMMAR_HINT = (
 # operand is a positional argument: expr is parsed as an expression, f and g
 # as filter specs and echoed as their spec text, m is a natural echoed as
 # given. The function is called with the operands, interp's --bound and the
-# budget, in that order, and its verdict is printed after the echo.
+# budget, in that order; its verdict, after the echo, is the payload, and its
+# state the exit code, of the one tail in main that every command ends in.
 VERDICT_COMMANDS = {
     "member": ("three-valued membership of m in an expression",
                "semantics.member", ("expr", "m")),
@@ -105,21 +111,16 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _emit(payload: dict, as_json: bool) -> None:
+def _emit(payload: dict | list[str], as_json: bool) -> None:
+    """Print a dict as JSON or aligned key-value lines, a list as its lines."""
     if as_json:
-        payload = {"schema": SCHEMA_VERSION, **payload}
-        print(json.dumps(payload, default=str))
+        print(json.dumps({"schema": SCHEMA_VERSION, **payload}, default=str))
         return
-    width = max((len(k) for k in payload), default=0)
-    for key, value in payload.items():
-        print(f"{key.ljust(width)}  {value}")
-
-
-def _emit_verdict(v: Verdict, as_json: bool, echo: dict) -> int:
-    _emit({**echo, **v.to_json()}, as_json)
-    if v.proved:
-        return EXIT_PROVED
-    return EXIT_REFUTED if v.refuted else EXIT_UNKNOWN
+    if isinstance(payload, dict):
+        width = max((len(k) for k in payload), default=0)
+        payload = [f"{key.ljust(width)}  {value}" for key, value in payload.items()]
+    for line in payload:
+        print(line)
 
 
 def build_parser() -> _Parser:
@@ -180,7 +181,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: argparse.Namespace) -> tuple[dict | list[str], ProofState]:
     as_json = args.json
     budget = args.budget
     cmd = args.command
@@ -202,20 +203,20 @@ def _run(args: argparse.Namespace) -> int:
             values.append(value)
         if cmd == "interp":
             values.append(args.bound)
-        return _emit_verdict(decide(*values, budget), as_json, echo)
+        v = decide(*values, budget)
+        return {**echo, **v.to_json()}, v.state
 
     if cmd == "factor":
         fact = arith.factorize(args.n)
-        _emit({"n": fact.value,
-               "factors": {str(p): k for p, k in fact.factors}}, as_json)
-        return EXIT_PROVED
+        return {"n": fact.value,
+                "factors": {str(p): k for p, k in fact.factors}}, ProofState.PROVED
 
     if cmd == "enumerate":
         e = parse_expr(args.expr)
         members, complete = enumerate_upto(e, args.bound, max(budget, args.bound))
-        _emit({"expr": render(e), "bound": args.bound,
-               "members": members, "complete": complete}, as_json)
-        return EXIT_PROVED if complete else EXIT_UNKNOWN
+        payload = {"expr": render(e), "bound": args.bound, "members": members,
+                   "complete": complete}
+        return payload, ProofState.PROVED if complete else ProofState.UNKNOWN
 
     if cmd == "antichain":
         from .antichain import max_strong_antichain
@@ -223,77 +224,64 @@ def _run(args: argparse.Namespace) -> int:
         mode = "greedy" if args.greedy else "exact"
         size, cert = max_strong_antichain(
             parse_expr(args.expr), args.bound, mode=mode, budget=budget)
-        _emit({"size": size, **cert.to_json()}, as_json)
-        return EXIT_PROVED
+        return {"size": size, **cert.to_json()}, ProofState.PROVED
 
     if cmd == "cover":
         from .antichain import covering_witness
 
-        cert = covering_witness(
-            parse_expr(args.expr), args.k_max, args.n_max, args.bound, budget)
+        e = parse_expr(args.expr)
+        cert = covering_witness(e, args.k_max, args.n_max, args.bound, budget)
+        # a cover is proved only when it covers the structural cover; an
+        # infinite pairwise-coprime family has no finite cover at all
+        if cert is not None and cert.structural:
+            return cert.to_json(), ProofState.PROVED
+        state = ProofState.REFUTED if facts(e).antichain else ProofState.UNKNOWN
         if cert is None:
-            _emit({"cover": None,
-                   "detail": "no cover within the search bounds"}, as_json)
-            return EXIT_REFUTED
-        _emit(cert.to_json(), as_json)
-        return EXIT_PROVED
+            return {"cover": None, "detail": "no cover within the search bounds"}, state
+        return cert.to_json(), state
 
-    if cmd == "chain-build":
-        from .chains import build_chain
-
-        chain = build_chain(args.k, scheme=args.scheme, budget=budget)
-        _emit(chain.to_json(), as_json)
-        return EXIT_PROVED
-
-    if cmd == "chain-verify":
+    if cmd in ("chain-build", "chain-verify"):
         from .chains import build_chain, verify_chain
 
         chain = build_chain(args.k, scheme=args.scheme, budget=budget)
+        if cmd == "chain-build":
+            return chain.to_json(), ProofState.PROVED
         report = verify_chain(chain, args.bound, budget)
-        if as_json:
-            _emit(report.to_json(), as_json)
-        else:
-            for pr in report.pairs:
-                print(f"beta={pr.beta} alpha={pr.alpha} "
-                      f"expect={pr.expectation} "
-                      f"verdict={pr.verdict.state.value} ok={pr.ok}")
-            print(f"passed  {report.passed}")
-        if report.passed:
-            return EXIT_PROVED
         # fail only on a verdict decided against its expectation
-        decided = any(not pr.ok and not pr.verdict.unknown for pr in report.pairs)
-        return EXIT_REFUTED if decided else EXIT_UNKNOWN
+        decided = any(not pr.ok and pr.verdict.decided for pr in report.pairs)
+        state = (ProofState.PROVED if report.passed
+                 else ProofState.REFUTED if decided else ProofState.UNKNOWN)
+        if as_json:
+            return report.to_json(), state
+        return [f"beta={pr.beta} alpha={pr.alpha} expect={pr.expectation} "
+                f"verdict={pr.verdict.state.value} ok={pr.ok}"
+                for pr in report.pairs] + [f"passed  {report.passed}"], state
 
     if cmd == "harness":
         from .corpus import load_corpus
-        from .harness import LEMMA_IDS, HarnessParams, run_harness
+        from .harness import HarnessParams, run_harness
 
-        lemmas = args.lemmas or None
-        if lemmas:
-            for lemma in lemmas:
-                if lemma not in LEMMA_IDS:
-                    raise _UsageError(
-                        f"unknown lemma id {lemma!r}; valid: {', '.join(LEMMA_IDS)}")
         corpus = None
         if args.corpus and args.corpus != "default":
             corpus = load_corpus(args.corpus)
         params = HarnessParams(bound=args.bound, budget=budget,
                                seed=args.seed, corpus=corpus, k=args.k)
-        report = run_harness(lemmas, params)
+        report = run_harness(args.lemmas, params)
+        state = ProofState.PROVED if report.passed else ProofState.REFUTED
         if as_json:
-            _emit(report.to_json(), as_json)
-        else:
-            for case in report.cases:
-                line = f"{case.lemma_id:9s} {case.outcome:7s} {case.case_id}"
-                if case.detail:
-                    line += f"  [{case.detail}]"
-                print(line)
-                if case.replay:
-                    print(f"  replay: divfilters {' '.join(case.replay)}")
-            counts = report.counts
-            print(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
-                  f"{counts['skipped']} skipped")
-        return EXIT_PROVED if report.passed else EXIT_REFUTED
+            return report.to_json(), state
+        lines = []
+        for case in report.cases:
+            line = f"{case.lemma_id:9s} {case.outcome:7s} {case.case_id}"
+            if case.detail:
+                line += f"  [{case.detail}]"
+            lines.append(line)
+            if case.replay:
+                lines.append(f"  replay: divfilters {' '.join(case.replay)}")
+        counts = report.counts
+        lines.append(f"summary: {counts['pass']} pass, {counts['fail']} fail, "
+                     f"{counts['skipped']} skipped")
+        return lines, state
 
     raise _UsageError(f"unknown command {cmd!r}")
 
@@ -302,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        payload, state = _run(args)
+        _emit(payload, args.json)
+        return EXIT_CODES[state]
     except _UsageError as exc:
         # no grammar hint: most usage errors are not about an expression
         print(f"usage error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from importlib import resources
 
+from .errors import PreconditionError
 from .setexpr import Lit, Mult, PrimesIdx, SetExpr, Union, Up, parse_expr
 
 from . import arith
@@ -13,13 +14,22 @@ from . import arith
 def load_corpus(path: str | None = None) -> list[SetExpr]:
     """Expressions from a corpus file (one per line, '#' comments).
 
-    Without a path, the bundled default corpus is used.
+    Without a path, the bundled default corpus is used. A file that cannot
+    be read as UTF-8 text is a PreconditionError naming its path.
     """
     if path is None:
         text = resources.files("divfilters.data").joinpath("corpus.txt").read_text()
     else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise PreconditionError(
+                f"cannot read corpus file {path!r}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
+            raise PreconditionError(
+                f"corpus file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from None
     exprs = []
     for line in text.splitlines():
         line = line.strip()

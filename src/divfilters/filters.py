@@ -307,11 +307,11 @@ def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:
 
 def interpolation_check(
     f: FilterPresentation, g: FilterPresentation, limit: int,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Finite shadow of the interpolation property on cores: find
     a, b in core(F) and c in core(G) with a != c != b, a | c and c | b."""
-    budget = max(budget or DEFAULT_BUDGET, limit)
+    budget = max(budget, limit)
     ef, eg = facts(f.core).elements, facts(g.core).elements
     if ef is not None and eg is not None:
         members_f, members_g = sorted(ef), sorted(eg)

@@ -559,7 +559,8 @@ def run_harness(
     ids = list(lemma_ids) if lemma_ids else list(LEMMA_IDS)
     for lemma in ids:
         if lemma not in _SUITES:
-            raise KeyError(lemma)
+            raise PreconditionError(
+                f"unknown lemma id {lemma!r}; valid: {', '.join(LEMMA_IDS)}")
     cases: list[HarnessCase] = []
     for lemma in sorted(ids):
         cases.extend(_SUITES[lemma](params))

@@ -5,7 +5,8 @@ import pytest
 
 from divfilters import chains, cli
 from divfilters.cli import main
-from divfilters.harness import HarnessParams, run_harness
+from divfilters.errors import PreconditionError
+from divfilters.harness import LEMMA_IDS, HarnessParams, run_harness
 from divfilters.verdict import refuted
 
 
@@ -291,6 +292,29 @@ def test_cover_not_found(capsys):
     assert out == "cover   None\ndetail  no cover within the search bounds\n"
 
 
+def _bound_verified_cover(host, covers, bound):
+    return (f"kind       covering\nhost_expr  {host}\ncovers     {covers}\n"
+            f"bound      {bound}\nmode       bound-verified\n")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    # 10007 is an odd member past nothing but the bound: [2] is no cover
+    (["union(mult(2),{10007})"], 2,
+     _bound_verified_cover("union(mult(2),{10007})", [2], 10000)),
+    # no member up to the bound, so [2] covers vacuously
+    (["{1000000000039}", "--bound", "5"], 2,
+     _bound_verified_cover("{1000000000039}", [2], 5)),
+    # the primes are an infinite pairwise-coprime family: no finite cover
+    (["P", "--bound", "1"], 1, _bound_verified_cover("P", [2], 1)),
+    # {7} is a cover past --n-max, so the failed search proves nothing
+    (["prodset(mult(7),mult(11))", "--k-max", "1", "--n-max", "5"], 2,
+     "cover   None\ndetail  no cover within the search bounds\n"),
+], ids=["odd-member-past-the-search", "no-member-up-to-the-bound", "primes",
+        "cover-past-n-max"])
+def test_cover_exit_follows_the_proof_state(capsys, argv, code, out):
+    assert run(capsys, ["cover", *argv]) == (code, out, "")
+
+
 def test_d_member_text_and_json(capsys):
     code, out, _ = run(capsys, ["d-member", "gen:[mult(6)]", "mult(3)"])
     assert code == 0
@@ -345,3 +369,21 @@ def test_harness_reads_a_corpus_file(capsys, tmp_path):
     assert out == ("L5.3      pass    union(mult(2),mult(3))  [cover size 2, exact antichain 2]\n"
                    "L5.3      pass    P  [antichains of sizes 1..6 found]\n"
                    "summary: 2 pass, 0 fail, 0 skipped\n")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_corpus_is_a_usage_error(capsys, tmp_path, kind):
+    path = {"missing": tmp_path / "missing" / "x.txt", "directory": tmp_path,
+            "not-utf8": tmp_path / "latin1.txt"}[kind]
+    if kind == "not-utf8":
+        path.write_bytes(b"mult(2)  # caf\xe9\n")
+    code, out, err = run(capsys, ["harness", "L5.3", "--corpus", str(path)])
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: ") and repr(str(path)) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_unknown_suite_id_is_a_precondition_error():
+    with pytest.raises(PreconditionError) as info:
+        run_harness(["NOPE"])
+    assert str(info.value) == f"unknown lemma id 'NOPE'; valid: {', '.join(LEMMA_IDS)}"
