@@ -124,8 +124,8 @@ class HarnessReport(Record):
 
 
 class HarnessParams(Record):
-    """bound and k default per suite when None; bound, budget and k are
-    naturals >= 1."""
+    """bound and k default per suite when None; budget has no such default.
+    bound, budget and k are naturals >= 1."""
 
     __slots__ = ("bound", "budget", "seed", "corpus", "k")
     _defaults = {"bound": None, "budget": DEFAULT_BUDGET, "seed": 0,
@@ -134,7 +134,7 @@ class HarnessParams(Record):
     def _check(self) -> None:
         for name in ("bound", "budget", "k"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if (value is None and name == "budget") or (value is not None and value < 1):
                 raise PreconditionError(f"harness {name} must be a natural >= 1")
 
     def expressions(self) -> list[SetExpr]:

@@ -36,16 +36,19 @@ three raises TypeError there.
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges. It falls back
 to member() for each m, over the range of that node, in two cases: a
-prodset node, and any node whose range would pass the sieve cap (a quot
-node reaches L*n, a down node over a set that is not explicit reaches the
-budget).
+prodset node of three or more arguments, and any node whose range would
+pass the sieve cap (a quot node reaches L*n, a down node over a set that is
+not explicit reaches the budget). A prodset of two arguments is the set of
+products x*y <= L of a Proved x in one and y in the other, x != y, built by
+strided ORs from the two ranges; its Unknown states follow the search order
+of _prodset_member.
 
 evaluate_range backs the dense bounded scans: enumerate_upto and
 is_infinite over [1..L], is_upward_closed and scan() over windows [1..w],
 w = 64 growing fourfold up to L, or w = L with a down node (its inner set
 spans [1..budget] in any window). scan() asks member about each m instead
-where _range would only repeat that work: past the sieve cap, a down node
-with a budget past it, or a prodset node outside every up and down node.
+where _range would only repeat that work: past the sieve cap, and for a
+down node with a budget past it.
 """
 
 from __future__ import annotations
@@ -79,7 +82,6 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
-    children,
     contains_down,
     map_children,
 )
@@ -556,6 +558,25 @@ def _multiples(sources: bytearray, covered: bytearray | None = None) -> bytearra
     return out
 
 
+def _pairs(xs: bytearray, ys: bytearray) -> int:
+    """The bit pattern of {x*y <= L : xs[x] == ys[y] == 1, x != y}, for
+    L = len(xs) - 1, walking the multiples of each x on the sparser side."""
+    if xs.count(1) > ys.count(1):
+        xs, ys = ys, xs
+    limit = len(xs) - 1
+    out = bytearray(limit + 1)
+    x = xs.find(1)
+    while x != -1:
+        n = limit // x
+        row = ys[1 : n + 1]
+        if x <= n:
+            row[x - 1] = 0
+        if 1 in row:
+            out[x::x] = (_bits(out[x::x]) | _bits(row)).to_bytes(n, "little")
+        x = xs.find(1, x + 1)
+    return _bits(out)
+
+
 def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
     proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
     for m in range(1, limit + 1):
@@ -574,7 +595,7 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
         reach = max(limit, budget)
     elif isinstance(e, Quot):
         reach = limit * e.n
-    if reach > arith.DEFAULT_SIEVE_CAP or isinstance(e, ProdSet):
+    if reach > arith.DEFAULT_SIEVE_CAP or (isinstance(e, ProdSet) and len(e.args) > 2):
         return _pointwise_range(e, limit, budget)
     proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
     if limit == 0 or isinstance(e, Empty):
@@ -657,6 +678,20 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
         for x in range(1, root + 1):
             proved_[x**e.n] = base_p[x]
             unknown_[x**e.n] = base_u[x]
+    elif isinstance(e, ProdSet):
+        if len(e.args) == 1:
+            return _range(e.args[0], limit, budget)
+        (ap, au), (bp, bu) = (_range(a, limit, budget) for a in e.args)
+        p = _pairs(ap, bp)
+        if all(facts(a).primes for a in e.args):
+            # _match: m = x*y for distinct primes, each Proved or Unknown
+            u = _pairs(_bytes(_bits(ap) | _bits(au), limit),
+                       _bytes(_bits(bp) | _bits(bu), limit))
+        else:
+            # _prodset_backtrack: an Unknown divisor of m in the first
+            # argument, or a Proved one whose cofactor is Unknown in the second
+            u = _bits(_multiples(au)) | _pairs(ap, bu)
+        proved_, unknown_ = _bytes(p, limit), _bytes(u & ~p, limit)
     else:
         raise TypeError(f"unknown node {e!r}")
     return proved_, unknown_
@@ -686,13 +721,6 @@ def _windows(e: SetExpr, limit: int):
         yield window
 
 
-def _no_shared_work(e: SetExpr) -> bool:
-    """Does e hold a prodset node, which _range evaluates at each m as member
-    does, outside every up and down node, which share those evaluations?"""
-    return isinstance(e, ProdSet) or (
-        not isinstance(e, (Up, Down)) and any(map(_no_shared_work, children(e))))
-
-
 def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
     """Yield (m, proved), ascending, for each m <= limit that
     member(e, m, budget) does not refute; proved is False for Unknown. A
@@ -700,8 +728,8 @@ def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
     if limit >= 1 and budget < 1:
         raise PreconditionError("budget must be >= 1")
     cap = arith.DEFAULT_SIEVE_CAP
-    if (budget > cap and contains_down(e)) or _no_shared_work(e):
-        cap = 0  # the module docstring's cases for member alone
+    if budget > cap and contains_down(e):
+        cap = 0  # the module docstring's case for member alone
     done = 0
     for window in _windows(e, max(limit, 0)):
         if window > cap:

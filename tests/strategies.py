@@ -69,6 +69,8 @@ def _wide_combine(children):
         st.builds(Down, children),
         st.builds(PowSet, children, st.integers(1, 3)),
         st.builds(lambda a, b: ProdSet((a, b)), children, children),
+        # three arguments, which evaluate_range walks pointwise
+        st.builds(lambda a, b, c: ProdSet((a, b, c)), children, children, children),
     )
 
 

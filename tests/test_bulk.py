@@ -167,6 +167,45 @@ def test_prime_product_with_an_unknown_factor_is_unknown():
     _check_oracle(e, states)
 
 
+# two-argument prodsets, which _range builds from the two arguments' ranges;
+# at budget 10^4 the first four mix all three states within [1..300]
+TWO_ARGUMENT_PRODSETS = [
+    # prime path (_match), with an Unknown factor on either side
+    "prodset(inter(P,down(factorials)),P)",
+    "prodset(P,inter(P,down(factorials)))",
+    # general path (_prodset_backtrack), with down on either side
+    "prodset(down(mult(1000)),mult(3))",
+    "prodset({3,5},down(mult(1000)))",
+    # a = b is left out, and 1 may be a factor; 2 * 7 = 14 is the product at
+    # the limit 14 and one past the limit 13
+    "prodset({2},{2})",
+    "prodset({1,2},{1,2})",
+    "prodset({1},mult(5))",
+    "prodset({2,7},{1,7})",
+]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 13, 14, 300])
+@pytest.mark.parametrize("index", range(len(TWO_ARGUMENT_PRODSETS)))
+def test_two_argument_prodset_equals_pointwise(index, limit):
+    e = parse_expr(TWO_ARGUMENT_PRODSETS[index])
+    states = _bulk_states(e, limit, BUDGET)
+    assert states == _pointwise_states(e, limit, BUDGET)
+    if index < 4 and limit == 300:
+        assert set(states) == set(ProofState)
+    if index == len(TWO_ARGUMENT_PRODSETS) - 1:
+        assert (ProofState.PROVED in states[13:]) == (limit >= 14)
+
+
+def test_prodset_with_a_costly_first_argument_equals_pointwise():
+    # member enumerates the first argument at every divisor of m, which made
+    # the old pointwise range take seconds; the bulk rule takes milliseconds
+    e = parse_expr("up(union(prodset(down(mult(1000)),{7}),{4}))")
+    states = _bulk_states(e, 2000, BUDGET)
+    assert states == _pointwise_states(e, 2000, BUDGET)
+    assert set(states) == set(ProofState)
+
+
 def test_evaluate_range_rejects_bad_bounds():
     with pytest.raises(PreconditionError):
         evaluate_range(Mult(2), -1, BUDGET)
@@ -307,27 +346,27 @@ def test_window_scan_walks_pointwise_past_the_sieve_cap(monkeypatch):
     assert windows == [900]
 
 
-def test_window_scan_walks_a_bare_prodset_pointwise(monkeypatch):
-    # a prodset outside every up and down is evaluated at each m by _range
-    # as by member, so the scan opens no window for it; under an up node
-    # the windows share its evaluations between multiples
+def test_window_scan_opens_windows_for_a_bare_prodset(monkeypatch):
+    # _range evaluates a two-argument prodset in bulk, so the scan opens
+    # windows for it, bare as under an up node; three or more arguments
+    # fall back to member at each m inside _range
     windows = []
     evaluate = semantics._range
 
     def recording(e, limit, budget):
-        if e in tops:
+        if e == bare:
             windows.append(limit)
         return evaluate(e, limit, budget)
 
     monkeypatch.setattr(semantics, "_range", recording)
-    tops = (parse_expr("union(prodset({2,3},{5,7}),{1})"),
-            parse_expr("up(prodset({2,3},{5,7}))"))
-    bare, under_up = tops
-    for e in tops:
-        assert list(scan(e, 700, 700)) == _reference_scan(e, 700, 700)
+    bare = parse_expr("union(prodset({2,3},{5,7}),{1})")
+    cases = (bare, parse_expr("up(prodset({2,3},{5,7}))"),
+             parse_expr("union(prodset({2,3},{5,7},mult(11)),{1})"))
+    for e in cases:
+        assert list(scan(e, 700, 700)) == _reference_scan(e, 700, 700), render(e)
     assert windows == [64, 256, 700]
     windows.clear()
-    assert next(scan(bare, 700, 700)) == (1, True) and windows == []
+    assert next(scan(bare, 700, 700)) == (1, True) and windows == [64]
 
 
 def _windowed_upward_closed(e, budget):

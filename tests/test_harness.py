@@ -177,3 +177,10 @@ def test_harness_params_reject_non_naturals(field, value):
     with pytest.raises(PreconditionError, match=field):
         HarnessParams(**{field: value})
     assert getattr(HarnessParams(**{field: 1}), field) == 1
+
+
+@pytest.mark.parametrize("lemma", harness.LEMMA_IDS)
+def test_every_suite_rejects_a_missing_budget(lemma):
+    # bound and k have per-suite defaults; budget has none
+    with pytest.raises(PreconditionError, match="budget"):
+        run_harness([lemma], HarnessParams(budget=None))
