@@ -358,9 +358,6 @@ def extend_antichain(
 class LcmWitness(Record):
     __slots__ = ("a", "b", "value")
 
-    def to_json(self) -> dict:
-        return {"a": self.a, "b": self.b, "lcm": self.value}
-
 
 def lcm_extension(
     a_expr: SetExpr,

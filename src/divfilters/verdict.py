@@ -7,16 +7,17 @@ A verdict is a value: nothing assigns to it once it is built, and a test
 checks that the package's own code never does. So one certificate-free
 verdict per state and budget serves every caller: PROVED_AT[budget],
 REFUTED_AT[budget] and UNKNOWN_AT[budget] build it on first use and keep
-it, for at most SHARED_BUDGETS budgets per state, DEFAULT_BUDGET always
-among them, and proved(), refuted() and unknown() without a certificate
-return it. Only a verdict with a certificate is built afresh. Its flags
-proved, refuted, unknown and decided are slots set by the constructor, not
-properties. The evaluator answers millions of queries a harness run, most of
-them with a certificate-free verdict. The rule is not enforced at run time:
-read-only fields made a harness round 17% slower as a tuple subclass and
-33% slower with a __setattr__ that raises (Python 3.11, 2-vCPU machine),
-since a round reads the fields millions of times and builds half a million
-fresh verdicts.
+it, and proved(), refuted() and unknown() without a certificate return it.
+A table that holds SHARED_BUDGETS budgets empties before it takes a new
+one, so memory stays bounded and each budget in use is built once per
+refill, not once per call. Only a verdict with a certificate is built
+afresh. Its flags proved, refuted, unknown and decided are slots set by the
+constructor, not properties. The evaluator answers millions of queries a
+harness run, most of them with a certificate-free verdict. The rule is not
+enforced at run time: read-only fields made a harness round 17% slower as a
+tuple subclass and 33% slower with a __setattr__ that raises (Python 3.11,
+2-vCPU machine), since a round reads the fields millions of times and
+builds half a million fresh verdicts.
 
 The three states are also bound once as module constants, _PROVED, _REFUTED
 and _UNKNOWN, which the state checks and constructors here and the member
@@ -85,9 +86,7 @@ class Verdict:
         return out
 
 
-# budgets kept per state, DEFAULT_BUDGET always among them; a caller that
-# walks through many budgets gets equal verdicts past this many, built
-# afresh, and memory stays bounded
+# budgets kept per state; a table this full empties before it takes a new one
 SHARED_BUDGETS = 64
 
 
@@ -102,18 +101,12 @@ class _SharedVerdicts(dict):
         self._lock = threading.Lock()
 
     def __missing__(self, budget: int) -> Verdict:
-        # look again and store under the lock: concurrent callers get one
-        # object per stored budget, and the table never passes SHARED_BUDGETS;
-        # one place stays free for DEFAULT_BUDGET, so one-off budgets cannot
-        # crowd out the budget most queries use
+        # refill and store under the lock: concurrent misses share the one
+        # stored object, and the table never passes SHARED_BUDGETS
         with self._lock:
-            v = self.get(budget)
-            if v is None:
-                v = Verdict(self.state, budget)
-                room = SHARED_BUDGETS - (DEFAULT_BUDGET not in self)
-                if budget == DEFAULT_BUDGET or len(self) < room:
-                    self[budget] = v
-        return v
+            if len(self) >= SHARED_BUDGETS and budget not in self:
+                self.clear()
+            return self.setdefault(budget, Verdict(self.state, budget))
 
 
 PROVED_AT = _SharedVerdicts(_PROVED)

@@ -138,6 +138,8 @@ def test_lcm_extension_examples():
     assert (w.a, w.b, w.value) == (2, 3, 6)
     w = lcm_extension(a, b, {6}, 10)
     assert (w.a, w.b, w.value) == (5, 7, 35)
+    # every member of up({7}) is a multiple of 7, so none is coprime to 77
+    assert lcm_extension(Up(Lit(frozenset({7}))), Up(Lit(frozenset({11}))), [77], 1000) is None
     with pytest.raises(PreconditionError):
         lcm_extension(parse_expr("P"), parse_expr("P"), set(), 100)
 

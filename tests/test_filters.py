@@ -80,6 +80,10 @@ def test_divides_tilde_examples():
         BUDGET,
     )
     assert v.refuted and v.certificate == 3
+    # a union core is covered when each side is
+    v = divides_tilde(parse_filter_spec("gen:[mult(2)]"),
+                      parse_filter_spec("gen:[union(mult(4),mult(6))]"), BUDGET)
+    assert v.proved and v.certificate == "structural"
 
 
 def test_divides_tilde_at_a_principal_g_is_membership():
@@ -239,6 +243,11 @@ def test_interpolation_examples():
     assert interpolation_check(principal(2), principal(6), 10**3).refuted
     anti = make_filter([Lit(frozenset({2, 3, 5, 7}))])
     assert interpolation_check(anti, anti, 10).refuted
+    # down(level(2)) is Unknown at 8, 12, ... at budget 100, so the
+    # enumeration of its core is incomplete
+    v = interpolation_check(parse_filter_spec("gen:[down(level(2))]"),
+                            parse_filter_spec("gen:[mult(2)]"), 50, 100)
+    assert v.unknown and v.budget == 100 and v.certificate is None
 
 
 def test_scale_filter():
@@ -248,6 +257,9 @@ def test_scale_filter():
     # scaled core denotes 4 * 6N = multiples of 24
     for m in range(1, 200):
         assert member(sf.core, m, BUDGET).proved == (m % 24 == 0)
+    assert scale_filter(f, 1) is f
+    with pytest.raises(PreconditionError, match="scale factor"):
+        scale_filter(f, 0)
 
 
 def test_eq1_upward_closed_members_are_in_d():

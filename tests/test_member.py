@@ -50,6 +50,13 @@ def test_member_rejects_zero_budget():
         member(Mult(2), 4, 0)
 
 
+def test_member_and_enumerate_reject_bad_arguments():
+    with pytest.raises(PreconditionError, match="naturals >= 1"):
+        member(parse_expr("N"), 0)
+    with pytest.raises(PreconditionError, match="must not exceed the budget"):
+        enumerate_upto(parse_expr("N"), 20, 10)
+
+
 def test_enumerate_examples():
     members, complete = enumerate_upto(Level(2), 10, BUDGET)
     assert members == [4, 6, 9, 10] and complete
@@ -186,6 +193,7 @@ def test_simplify_rewrite(text, rewritten):
 # one input per structural subset branch that no other test reaches
 @pytest.mark.parametrize("a, b", [
     ("empty", "mult(7)"),
+    ("union(mult(4),mult(6))", "mult(2)"),
     ("prodset(primesIdx(1,2),primesIdx(2,2),P)", "up(prodset(primesIdx(1,2),primesIdx(2,2)))"),
     ("scale(prodset(P,P),2)", "up(scale(P,2))"),
     ("pow(P,2)", "up(P)"),

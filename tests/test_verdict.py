@@ -71,39 +71,47 @@ def test_certificate_free_verdicts_are_shared_per_budget():
     assert member(Mult(2), 3, 12) is refuted(12) is not refuted(11)
 
 
-def test_at_most_64_budgets_are_stored_per_state():
+def test_each_table_holds_at_most_64_budgets():
     _clear_shared()
     assert SHARED_BUDGETS == 64
     for state, build in BUILD.items():
         table = SHARED[state]
-        assert build(DEFAULT_BUDGET) is build(DEFAULT_BUDGET)
-        for budget in range(1, SHARED_BUDGETS):
-            assert build(budget) is build(budget)
-        assert len(table) == SHARED_BUDGETS
-        v = build(1000)
-        assert (v.state, v.budget, v.certificate) == (state, 1000, None)
-        assert _flags_match_state(v)
-        assert 1000 not in table and build(1000) is not v
-        assert len(table) == SHARED_BUDGETS
-        assert build(1) is table[1] and build(DEFAULT_BUDGET) is table[DEFAULT_BUDGET]
+        for budget in range(1, 3 * SHARED_BUDGETS + 1):
+            v = build(budget)
+            assert (v.state, v.budget, v.certificate) == (state, budget, None)
+            assert _flags_match_state(v)
+            assert table[budget] is v and len(table) <= SHARED_BUDGETS
 
 
-def test_one_off_budgets_cannot_crowd_out_the_default_budget():
+def test_a_budget_first_used_after_a_refill_is_shared():
     _clear_shared()
     for state, build in BUILD.items():
-        table = SHARED[state]
-        for budget in range(1, 3 * SHARED_BUDGETS):
+        for budget in range(1, SHARED_BUDGETS + 1):
             build(budget)
-        assert len(table) == SHARED_BUDGETS - 1 and DEFAULT_BUDGET not in table
+        assert len(SHARED[state]) == SHARED_BUDGETS
+    # the tables are full, and 1000 is in none of them
+    assert refuted(1000) is refuted(1000) is REFUTED_AT[1000]
+    assert member(Mult(2), 3, 1000) is refuted(1000)
+    assert member(Mult(2), 4, 1000) is proved(1000) is proved(1000)
+    assert unknown(1000) is unknown(1000)
+    assert refuted(1) is refuted(1) and refuted(1).budget == 1
+
+
+def test_the_default_budget_is_shared_again_after_a_refill():
+    _clear_shared()
+    for state, build in BUILD.items():
         v = build(DEFAULT_BUDGET)
-        assert table[DEFAULT_BUDGET] is v is build(DEFAULT_BUDGET)
-        assert len(table) == SHARED_BUDGETS
+        for budget in range(1, 2 * SHARED_BUDGETS):
+            build(budget)
+        assert DEFAULT_BUDGET not in SHARED[state]
+        w = build(DEFAULT_BUDGET)
+        assert w is not v and w.budget == DEFAULT_BUDGET and w.state is state
+        assert build(DEFAULT_BUDGET) is w is SHARED[state][DEFAULT_BUDGET]
     assert member(Mult(2), 2) is PROVED_AT[DEFAULT_BUDGET]
 
 
-def test_concurrent_misses_share_one_verdict_and_keep_the_bound():
-    _clear_shared()
-    budgets = range(1, 3 * SHARED_BUDGETS)
+def _ask_from_four_threads(budgets):
+    """Every thread asks refuted(b) for each b in budgets, switching often."""
     results = [None] * 4
     start = threading.Barrier(len(results))
 
@@ -122,11 +130,23 @@ def test_concurrent_misses_share_one_verdict_and_keep_the_bound():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    assert len(REFUTED_AT) == SHARED_BUDGETS - 1
-    for b, answers in zip(budgets, zip(*results)):
-        assert all(v.budget == b and v.refuted for v in answers)
-        if b in REFUTED_AT:
-            assert all(v is REFUTED_AT[b] for v in answers), b
+    return list(zip(*results))
+
+
+def test_concurrent_misses_share_one_verdict_and_keep_the_bound():
+    # past the bound the tables refill while the threads ask
+    _clear_shared()
+    budgets = range(1, 3 * SHARED_BUDGETS + 1)
+    for b, answers in zip(budgets, _ask_from_four_threads(budgets)):
+        assert all(v.budget == b and v.refuted and v.certificate is None for v in answers)
+    assert 0 < len(REFUTED_AT) <= SHARED_BUDGETS
+    # up to the bound nothing refills, so each budget has one object
+    _clear_shared()
+    budgets = range(1, SHARED_BUDGETS + 1)
+    for b, answers in zip(budgets, _ask_from_four_threads(budgets)):
+        assert all(v is REFUTED_AT[b] for v in answers), b
+        assert REFUTED_AT[b].budget == b and REFUTED_AT[b].refuted
+    assert len(REFUTED_AT) == SHARED_BUDGETS
 
 
 def test_unregistered_node_class_raises_type_error_at_top_level_and_nested():
