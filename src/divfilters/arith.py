@@ -14,9 +14,21 @@ An odd composite q with smallest prime factor p has p*p <= q, so p is the
 last prime to write spf[q]. Primality is marked the same way in a bytearray.
 Composite entries all share the few int objects of the primes <= sqrt(limit).
 
-Primality past the sieve cap goes by trial division: the sieved primes up to
-min(sqrt(m), cap) are tried first, and BudgetExceededError is raised only
-when none divides m and sqrt(m) passes the cap.
+Point queries (is_prime and factorize, and through factorize prime_support,
+omega and divisors) read the table when m is inside it. Past the table, below
+the cap and past it alike, they take one trial path: division by the sieved
+primes, ascending, until p * p passes the cofactor. If the sieved primes run
+out first, the table grows once, to min(sqrt(cofactor), cap), and
+BudgetExceededError is raised only when no prime up to the cap divides a
+cofactor whose square root passes the cap, that is past cap**2.
+
+A point query in (table, cap] is also counted, unlocked, and once the count
+since the last growth times 512 (_ENTRIES_PER_MISS: one trial-divided query
+costs about as much as 512 table entries) reaches m, the table grows to m. A
+pointwise walk past the table so pays at most about twice what growing up
+front would, while a few scattered queries never build the table. Bulk
+callers (primes_upto, omega_table, nth_prime, prime_index) grow the table up
+front.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from itertools import compress
+from collections.abc import Iterator
+from itertools import compress, islice
 
 from .errors import BudgetExceededError, PreconditionError
 from .record import Record
@@ -32,6 +45,14 @@ from .record import Record
 # Values above SIEVE_CAP**2 cannot be factored by trial division over the
 # sieved primes and are rejected with an explicit error.
 DEFAULT_SIEVE_CAP = 10**6
+
+# A trial-divided point query past the table costs about as much as building
+# this many table entries. On a 2-vCPU Intel Xeon under CPython 3.11, building
+# the table costs 25-38 ms per 10**6 entries, and one trial-divided
+# prime_support near 10**6 costs about 14 us at a prime, its dearest case, and
+# 5.5 us on average over consecutive m. So m / 512 misses cost at most about
+# one build of the table to m.
+_ENTRIES_PER_MISS = 512
 
 
 def _spf_sieve(limit: int) -> tuple[list[int], list[int]]:
@@ -55,12 +76,14 @@ def _spf_sieve(limit: int) -> tuple[list[int], list[int]]:
 
 
 class _Sieve:
-    """Smallest-prime-factor sieve, grown in powers of two."""
+    """Smallest-prime-factor sieve, grown in powers of two. See the module
+    docstring for when a point query grows it."""
 
     def __init__(self, cap: int = DEFAULT_SIEVE_CAP):
         self.cap = cap
         self._lock = threading.Lock()
         self._limit = 0
+        self._misses = 0  # point queries in (limit, cap] since the last growth
         self._spf: list[int] = []
         self._primes: list[int] = []
         self.ensure(1 << 10)
@@ -84,6 +107,7 @@ class _Sieve:
             self._spf = spf
             self._primes = primes
             self._limit = limit
+            self._misses = 0
 
     @property
     def limit(self) -> int:
@@ -96,27 +120,57 @@ class _Sieve:
     def is_prime(self, m: int) -> bool:
         if m < 2:
             return False
-        if m <= self._limit:
+        if m <= self._limit or self._grew_to(m):
             return self._spf[m] == m
-        if m <= self.cap:
-            self.ensure(m)
-            return self._spf[m] == m
-        return self._trial_is_prime(m)
+        p, _ = next(self._trial_pairs(m, f"primality of {m}"))
+        return p == m
 
-    def _trial_is_prime(self, m: int) -> bool:
-        root = math.isqrt(m)
-        bound = min(root, self.cap)
-        self.ensure(bound)
-        for p in self._primes:
-            if p > bound:
-                break
-            if m % p == 0:
-                return False
-        if root > self.cap:
-            raise BudgetExceededError(
-                f"primality of {m} needs trial division past cap {self.cap}"
-            )
+    def _grew_to(self, m: int) -> bool:
+        """Count m, a point query past the table, and grow the table to m
+        once the misses counted since the last growth would have paid for
+        building it. Return whether the table now holds m."""
+        if m > self.cap:
+            return False
+        # unlocked: a lost or doubled count moves only when the table grows,
+        # never what a query answers
+        self._misses += 1
+        if self._misses * _ENTRIES_PER_MISS < m:
+            return False
+        self.ensure(m)
         return True
+
+    def _trial_pairs(self, n: int, what: str) -> Iterator[tuple[int, int]]:
+        """The (prime, exponent) pairs of n >= 1, ascending, by trial
+        division with the sieved primes until p * p passes the cofactor.
+        When they run out first, the table grows once, to the cofactor's
+        square root or the cap; past the cap, BudgetExceededError says
+        that `what` needs trial division past it."""
+        primes, tried = self._primes, 0
+        while True:
+            for p in islice(primes, tried, None):
+                if p * p > n:
+                    break
+                if n % p == 0:
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    yield p, e
+            else:
+                root = math.isqrt(n)
+                self.ensure(min(root, self.cap))
+                if primes is not self._primes:
+                    primes, tried = self._primes, len(primes)
+                    continue
+                # no prime up to the table's limit, which reaches root or
+                # the cap, divides n
+                if root > self.cap:
+                    raise BudgetExceededError(
+                        f"{what} needs trial division past cap {self.cap}"
+                    )
+            if n > 1:
+                yield n, 1
+            return
 
     def nth_prime(self, i: int) -> int:
         if i < 1:
@@ -131,13 +185,14 @@ class _Sieve:
 
     def prime_index(self, p: int) -> int:
         """1-based index of the prime p; raises if p is not prime."""
+        if p <= self.cap:
+            self.ensure(p)
         if not self.is_prime(p):
             raise PreconditionError(f"{p} is not prime")
         if p > self.cap:
             raise BudgetExceededError(
                 f"prime_index({p}) exceeds sieve cap {self.cap}"
             )
-        self.ensure(p)
         return bisect_right(self._primes, p)
 
 
@@ -169,40 +224,18 @@ def _check_natural(m: int, name: str = "m") -> None:
 def factorize(m: int) -> Factorization:
     """Factor m >= 1 into (prime, exponent) pairs, ascending by prime."""
     _check_natural(m)
-    if m == 1:
-        return Factorization(1, ())
+    if m > _SIEVE._limit and not _SIEVE._grew_to(m):
+        return Factorization(m, tuple(_SIEVE._trial_pairs(m, f"factorize({m})")))
+    spf = _SIEVE._spf
     pairs: list[tuple[int, int]] = []
     n = m
-    if n <= _SIEVE.cap:
-        _SIEVE.ensure(n)
-        spf = _SIEVE._spf
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-        return Factorization(m, tuple(pairs))
-    # trial division past the sieve cap; the cofactor left after stripping
-    # all primes <= cap is prime whenever its square root fits under cap
-    root = min(math.isqrt(n), _SIEVE.cap)
-    for p in _SIEVE.primes_upto(root):
-        if p * p > n:
-            break
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            pairs.append((p, e))
-    if n > 1:
-        if math.isqrt(n) > _SIEVE.cap:
-            raise BudgetExceededError(
-                f"factorize({m}) needs trial division past cap {_SIEVE.cap}"
-            )
-        pairs.append((n, 1))
-    pairs.sort()
+    while n > 1:
+        p = spf[n]
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        pairs.append((p, e))
     return Factorization(m, tuple(pairs))
 
 

@@ -59,28 +59,50 @@ def _trial_factors(m):
     return tuple(pairs)
 
 
-# ascending, so that each is past the sieve that the ones before it grew:
-# 1025 just past the initial 1,024, 2**17 + 1 past 2,048, 999983 past 2**18,
-# the rest past the cap
+# ascending, each past the initial 1,024-entry table: trial division by the
+# primes below 1,024 decides all but the last two, which need the primes up to
+# the cap and so grow the table to it
 PAST_THE_SIEVE = [1025, 2**17 + 1, 999983, 10**6 + 3, 2**3 * 3 * 1000003,
                   999983 * 999979, 10**12 + 39]
+# trial division stops at p * p > cofactor, so the primes below 1,024 decide
+# these too: 2**40 * 1000003 leaves the prime cofactor 1000003
+DECIDED_BY_THE_FIRST_PRIMES = [999983, 987654, 2**40 * 1000003]
 
 
 def test_sieve_walks_equal_trial_division(monkeypatch):
-    reference = {m: _trial_factors(m) for m in [*range(1, 10**5 + 1), *PAST_THE_SIEVE]}
+    # a pointwise walk from here pays for growing the table to m within
+    # ceil(m / _ENTRIES_PER_MISS) misses
+    first = 950000
+    walk = range(first, first + math.ceil(10**6 / arith._ENTRIES_PER_MISS))
+    reference = {m: _trial_factors(m) for m in [*range(1, 10**5 + 1), *walk,
+                                                *PAST_THE_SIEVE, *DECIDED_BY_THE_FIRST_PRIMES]}
     expected = {
+        arith.is_prime: lambda m: reference[m] == ((m, 1),),
         arith.omega: lambda m: sum(e for _, e in reference[m]),
         arith.prime_support: lambda m: frozenset(p for p, _ in reference[m]),
         arith.factorize: lambda m: arith.Factorization(m, reference[m]),
     }
     for fn, want in expected.items():
         monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+        for m in DECIDED_BY_THE_FIRST_PRIMES:
+            assert fn(m) == want(m), m
+        assert arith._SIEVE.limit == 1024
         for m in PAST_THE_SIEVE:
             assert arith._SIEVE.limit < m
             assert fn(m) == want(m), m
         assert arith._SIEVE.limit == arith.DEFAULT_SIEVE_CAP
         for m in range(1, 10**5 + 1):
             assert fn(m) == want(m), m
+        monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+        for m in range(1025, 10**5 + 1):
+            assert fn(m) == want(m), m
+        assert arith._SIEVE.limit >= 10**5
+        for misses, m in enumerate(walk, 1):
+            assert fn(m) == want(m), m
+            if arith._SIEVE.limit >= m:
+                break
+        assert arith._SIEVE.limit >= m
+        assert misses <= math.ceil(m / arith._ENTRIES_PER_MISS), (misses, m)
 
 
 def test_is_prime():
@@ -149,10 +171,10 @@ def test_grown_sieve_equals_sieve_built_at_once():
 def test_trial_primality_past_the_cap():
     sieve = _Sieve(10**6)
     # 3·7·11·23·29·31·67·83·89: its square root passes the cap, a small prime divides it
-    assert sieve._trial_is_prime(2363972441523) is False
+    assert sieve.is_prime(2363972441523) is False
     with pytest.raises(BudgetExceededError):
-        sieve._trial_is_prime(1000003 * 1000033)
-    assert sieve._trial_is_prime(1000003) is True
-    assert sieve._trial_is_prime(999983 * 999979) is False
+        sieve.is_prime(1000003 * 1000033)
+    assert sieve.is_prime(1000003) is True
+    assert sieve.is_prime(999983 * 999979) is False
     largest = 10**12 - 11  # the largest prime below cap**2
-    assert sieve._trial_is_prime(largest) is True
+    assert sieve.is_prime(largest) is True

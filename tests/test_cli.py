@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from divfilters import chains, cli
+from divfilters import arith, chains, cli
 from divfilters.cli import main
 from divfilters.errors import PreconditionError
 from divfilters.harness import LEMMA_IDS, HarnessParams, run_harness
@@ -125,6 +125,23 @@ def test_chain_verify(capsys):
     code, out, _ = run(capsys, ["chain-verify", "2", "--json"])
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_point_queries_past_the_table_leave_it_small(capsys, monkeypatch):
+    # the witnesses are products of a few small primes, which trial division
+    # by the primes of a 4,096-entry table decides
+    argvs = [["member", "P", "999983", "--json"], ["factor", "987654", "--json"],
+             ["chain-verify", "12", "--json"]]
+    monkeypatch.setattr(arith, "_SIEVE", arith._Sieve())
+    cold = [run(capsys, argv)[:2] for argv in argvs]
+    assert arith._SIEVE.limit <= 4096
+    monkeypatch.setattr(arith, "_SIEVE", arith._Sieve())
+    arith._SIEVE.ensure(arith.DEFAULT_SIEVE_CAP)
+    assert cold == [run(capsys, argv)[:2] for argv in argvs]
+    assert [code for code, _ in cold] == [0, 0, 0]
+    assert json.loads(cold[0][1])["state"] == "proved"
+    assert json.loads(cold[1][1])["factors"] == {"2": 1, "3": 1, "97": 1, "1697": 1}
+    assert json.loads(cold[2][1])["passed"] is True
 
 
 def test_chain_verify_exits_2_when_failing_pairs_are_only_unknown(capsys):
