@@ -4,9 +4,6 @@ gcd/lcm/coprimality.
 All naturals here are 1-based: 0 is out of domain everywhere. Omega(1) = 0,
 so 1 sits alone on level 0 of the prime-factor-count hierarchy.
 
-The smallest-prime-factor sieve is grown on demand under a lock; growing it
-is idempotent, so concurrent callers always observe identical results.
-
 The sieve is built by slice assignment, with no Python loop per index. Even
 entries start at 2. Each odd prime p <= sqrt(limit), in descending order,
 writes p over its odd multiples from p*p on; each prime then writes itself.
@@ -14,9 +11,16 @@ An odd composite q with smallest prime factor p has p*p <= q, so p is the
 last prime to write spf[q]. Primality is marked the same way in a bytearray.
 Composite entries all share the few int objects of the primes <= sqrt(limit).
 
-Point queries (is_prime and factorize, and through factorize prime_support,
-omega and divisors) read the table when m is inside it. Past the table, below
-the cap and past it alike, they take one trial path: division by the sieved
+The module functions are the only implementation of each query. They read
+_SIEVE, which holds the table (spf and primes up to limit) and does three
+jobs: ensure grows the table on demand under a lock, in powers of two up to
+DEFAULT_SIEVE_CAP (growing is idempotent, so concurrent callers observe
+identical results); _grew_to counts point queries past the table; and
+_trial_pairs trial-divides them.
+
+Point queries (is_prime, and through _pairs factorize, prime_support, omega
+and divisors) read the table when m is inside it. Past the table, below the
+cap and past it alike, they take one trial path: division by the sieved
 primes, ascending, until p * p passes the cofactor. If the sieved primes run
 out first, the table grows once, to min(sqrt(cofactor), cap), and
 BudgetExceededError is raised only when no prime up to the cap divides a
@@ -36,14 +40,15 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import compress, islice
 
 from .errors import BudgetExceededError, PreconditionError
 from .record import Record
 
-# Values above SIEVE_CAP**2 cannot be factored by trial division over the
-# sieved primes and are rejected with an explicit error.
+# The table never grows past this. Values above DEFAULT_SIEVE_CAP**2 cannot be
+# factored by trial division over the sieved primes and are rejected with an
+# explicit error.
 DEFAULT_SIEVE_CAP = 10**6
 
 # A trial-divided point query past the table costs about as much as building
@@ -76,60 +81,42 @@ def _spf_sieve(limit: int) -> tuple[list[int], list[int]]:
 
 
 class _Sieve:
-    """Smallest-prime-factor sieve, grown in powers of two. See the module
-    docstring for when a point query grows it."""
+    """The smallest-prime-factor table spf and the ascending primes of
+    [0..limit]. See the module docstring."""
 
-    def __init__(self, cap: int = DEFAULT_SIEVE_CAP):
-        self.cap = cap
+    def __init__(self):
         self._lock = threading.Lock()
-        self._limit = 0
+        self.limit = 0
         self._misses = 0  # point queries in (limit, cap] since the last growth
-        self._spf: list[int] = []
-        self._primes: list[int] = []
+        self.spf: list[int] = []
+        self.primes: list[int] = []
         self.ensure(1 << 10)
 
     def ensure(self, n: int) -> None:
-        if n <= self._limit:
+        if n <= self.limit:
             return
-        if n > self.cap:
+        if n > DEFAULT_SIEVE_CAP:
             raise BudgetExceededError(
-                f"sieve request {n} exceeds configured cap {self.cap}"
-            )
+                f"sieve request {n} exceeds configured cap {DEFAULT_SIEVE_CAP}")
         with self._lock:
-            if n <= self._limit:
+            if n <= self.limit:
                 return
-            limit = self._limit or 1
+            limit = self.limit or 1
             while limit < n:
                 limit *= 2
-            limit = min(limit, self.cap)
+            limit = min(limit, DEFAULT_SIEVE_CAP)
             spf, primes = _spf_sieve(limit)
-            # publish atomically; readers never see a partial sieve
-            self._spf = spf
-            self._primes = primes
-            self._limit = limit
+            # publish the limit last; readers never see a partial sieve
+            self.spf = spf
+            self.primes = primes
+            self.limit = limit
             self._misses = 0
-
-    @property
-    def limit(self) -> int:
-        return self._limit
-
-    def primes_upto(self, m: int) -> list[int]:
-        self.ensure(max(m, 2))
-        return self._primes[: bisect_right(self._primes, m)]
-
-    def is_prime(self, m: int) -> bool:
-        if m < 2:
-            return False
-        if m <= self._limit or self._grew_to(m):
-            return self._spf[m] == m
-        p, _ = next(self._trial_pairs(m, f"primality of {m}"))
-        return p == m
 
     def _grew_to(self, m: int) -> bool:
         """Count m, a point query past the table, and grow the table to m
         once the misses counted since the last growth would have paid for
         building it. Return whether the table now holds m."""
-        if m > self.cap:
+        if m > DEFAULT_SIEVE_CAP:
             return False
         # unlocked: a lost or doubled count moves only when the table grows,
         # never what a query answers
@@ -145,7 +132,7 @@ class _Sieve:
         When they run out first, the table grows once, to the cofactor's
         square root or the cap; past the cap, BudgetExceededError says
         that `what` needs trial division past it."""
-        primes, tried = self._primes, 0
+        primes, tried = self.primes, 0
         while True:
             for p in islice(primes, tried, None):
                 if p * p > n:
@@ -158,42 +145,18 @@ class _Sieve:
                     yield p, e
             else:
                 root = math.isqrt(n)
-                self.ensure(min(root, self.cap))
-                if primes is not self._primes:
-                    primes, tried = self._primes, len(primes)
+                self.ensure(min(root, DEFAULT_SIEVE_CAP))
+                if primes is not self.primes:
+                    primes, tried = self.primes, len(primes)
                     continue
                 # no prime up to the table's limit, which reaches root or
                 # the cap, divides n
-                if root > self.cap:
+                if root > DEFAULT_SIEVE_CAP:
                     raise BudgetExceededError(
-                        f"{what} needs trial division past cap {self.cap}"
-                    )
+                        f"{what} needs trial division past cap {DEFAULT_SIEVE_CAP}")
             if n > 1:
                 yield n, 1
             return
-
-    def nth_prime(self, i: int) -> int:
-        if i < 1:
-            raise PreconditionError("prime index must be >= 1")
-        while len(self._primes) < i:
-            if self._limit >= self.cap:
-                raise BudgetExceededError(
-                    f"nth_prime({i}) exceeds sieve cap {self.cap}"
-                )
-            self.ensure(min(self._limit * 2, self.cap))
-        return self._primes[i - 1]
-
-    def prime_index(self, p: int) -> int:
-        """1-based index of the prime p; raises if p is not prime."""
-        if p <= self.cap:
-            self.ensure(p)
-        if not self.is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        if p > self.cap:
-            raise BudgetExceededError(
-                f"prime_index({p}) exceeds sieve cap {self.cap}"
-            )
-        return bisect_right(self._primes, p)
 
 
 _SIEVE = _Sieve()
@@ -221,31 +184,37 @@ def _check_natural(m: int, name: str = "m") -> None:
         raise PreconditionError(f"{name} must be a natural number >= 1, got {m!r}")
 
 
+def _pairs(m: int) -> Iterable[tuple[int, int]]:
+    """The (prime, exponent) pairs of m >= 1, ascending: walked off the
+    table when it holds m, else by the trial path."""
+    sieve = _SIEVE
+    if m > sieve.limit and not sieve._grew_to(m):
+        return sieve._trial_pairs(m, f"factorize({m})")
+    spf = sieve.spf
+    pairs = []
+    while m > 1:
+        p = spf[m]
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        pairs.append((p, e))
+    return pairs
+
+
 def factorize(m: int) -> Factorization:
     """Factor m >= 1 into (prime, exponent) pairs, ascending by prime."""
     _check_natural(m)
-    if m > _SIEVE._limit and not _SIEVE._grew_to(m):
-        return Factorization(m, tuple(_SIEVE._trial_pairs(m, f"factorize({m})")))
-    spf = _SIEVE._spf
-    pairs: list[tuple[int, int]] = []
-    n = m
-    while n > 1:
-        p = spf[n]
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        pairs.append((p, e))
-    return Factorization(m, tuple(pairs))
+    return Factorization(m, tuple(_pairs(m)))
 
 
 def omega(m: int) -> int:
     """Number of prime factors of m counted with multiplicity; omega(1) = 0.
-    Walks the sieve as prime_support does."""
+    Walks the table as prime_support does."""
     _check_natural(m)
-    spf = _SIEVE._spf
+    spf = _SIEVE.spf
     if m >= len(spf):
-        return sum(e for _, e in factorize(m).factors)
+        return sum(e for _, e in _pairs(m))
     count = 0
     while m > 1:
         m //= spf[m]
@@ -255,9 +224,9 @@ def omega(m: int) -> int:
 
 def omega_table(n: int) -> bytearray:
     """Omega(m) for every 1 <= m <= n, read off the smallest-prime-factor
-    sieve; entry 0 is unused. Omega stays below 2**8 up to the sieve cap."""
-    _SIEVE.ensure(max(n, 2))
-    spf = _SIEVE._spf
+    table; entry 0 is unused. Omega stays below 2**8 up to the sieve cap."""
+    _SIEVE.ensure(n)
+    spf = _SIEVE.spf
     table = bytearray(n + 1)
     for m in range(2, n + 1):
         table[m] = table[m // spf[m]] + 1
@@ -267,9 +236,9 @@ def omega_table(n: int) -> bytearray:
 def prime_support(m: int) -> frozenset[int]:
     """The set of distinct primes dividing m."""
     _check_natural(m)
-    spf = _SIEVE._spf
+    spf = _SIEVE.spf
     if m >= len(spf):
-        return frozenset(p for p, _ in factorize(m).factors)
+        return frozenset(p for p, _ in _pairs(m))
     primes = set()
     while m > 1:
         p = spf[m]
@@ -289,32 +258,51 @@ def coprime_lcm(a: int, b: int) -> tuple[int, int, bool]:
 def is_prime(m: int) -> bool:
     if m < 1:
         raise PreconditionError(f"m must be >= 1, got {m!r}")
-    return _SIEVE.is_prime(m)
+    sieve = _SIEVE
+    if m <= sieve.limit or sieve._grew_to(m):
+        return m > 1 and sieve.spf[m] == m
+    p, _ = next(sieve._trial_pairs(m, f"primality of {m}"))
+    return p == m
 
 
 def primes_upto(m: int) -> list[int]:
     """All primes <= m, ascending."""
     _check_natural(m)
-    if m > _SIEVE.cap:
-        raise BudgetExceededError(f"primes_upto({m}) exceeds cap {_SIEVE.cap}")
-    return _SIEVE.primes_upto(m)
+    if m > DEFAULT_SIEVE_CAP:
+        raise BudgetExceededError(f"primes_upto({m}) exceeds cap {DEFAULT_SIEVE_CAP}")
+    _SIEVE.ensure(m)
+    primes = _SIEVE.primes
+    return primes[: bisect_right(primes, m)]
 
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 1-based: nth_prime(1) == 2."""
-    return _SIEVE.nth_prime(i)
+    if i < 1:
+        raise PreconditionError("prime index must be >= 1")
+    sieve = _SIEVE
+    while len(sieve.primes) < i:
+        if sieve.limit >= DEFAULT_SIEVE_CAP:
+            raise BudgetExceededError(f"nth_prime({i}) exceeds sieve cap {DEFAULT_SIEVE_CAP}")
+        sieve.ensure(sieve.limit + 1)
+    return sieve.primes[i - 1]
 
 
 def prime_index(p: int) -> int:
-    """1-based index of the prime p."""
-    return _SIEVE.prime_index(p)
+    """1-based index of the prime p; raises if p is not prime."""
+    if p <= DEFAULT_SIEVE_CAP:
+        _SIEVE.ensure(p)
+    if p < 2 or not is_prime(p):  # is_prime rejects p < 1 with its own text
+        raise PreconditionError(f"{p} is not prime")
+    if p > DEFAULT_SIEVE_CAP:
+        raise BudgetExceededError(f"prime_index({p}) exceeds sieve cap {DEFAULT_SIEVE_CAP}")
+    return bisect_right(_SIEVE.primes, p)
 
 
 def divisors(m: int) -> list[int]:
     """All divisors of m, ascending."""
-    fac = factorize(m)
+    _check_natural(m)
     divs = [1]
-    for p, e in fac.factors:
+    for p, e in _pairs(m):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
     return divs

@@ -16,7 +16,7 @@ from divfilters.antichain import (
     lcm_extension,
     max_strong_antichain,
 )
-from divfilters.errors import PreconditionError
+from divfilters.errors import IncompleteEnumerationError, PreconditionError
 from divfilters.semantics import enumerate_upto, member
 from divfilters.setexpr import Level, Lit, Mult, Union, Up, parse_expr, render
 
@@ -47,6 +47,9 @@ def test_max_antichain_examples():
     assert list(cert.witness) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     size, _ = max_strong_antichain(Mult(6), 10**4, mode="exact")
     assert size == 1
+    # 11 divides no factorial up to the budget 10**4, so its membership is Unknown
+    with pytest.raises(IncompleteEnumerationError):
+        max_strong_antichain(parse_expr("inter(P,down(factorials))"), 20)
 
 
 def test_antichain_witness_members_proved():
@@ -90,6 +93,8 @@ def test_covering_examples():
         parse_expr("union(mult(4),union(mult(6),mult(9)))"), 3, 10, 10**4
     )
     assert cert is not None and cert.covers == frozenset({2, 3})
+    with pytest.raises(PreconditionError):
+        covering_witness(parse_expr("P"), 0, 5, 10)
 
 
 def test_cover_validates_members():
@@ -140,6 +145,8 @@ def test_lcm_extension_examples():
     assert (w.a, w.b, w.value) == (5, 7, 35)
     # every member of up({7}) is a multiple of 7, so none is coprime to 77
     assert lcm_extension(Up(Lit(frozenset({7}))), Up(Lit(frozenset({11}))), [77], 1000) is None
+    # A finds 2, but every member of up({7}) is a multiple of 7
+    assert lcm_extension(Up(Lit(frozenset({2}))), Up(Lit(frozenset({7}))), [7], 1000) is None
     with pytest.raises(PreconditionError):
         lcm_extension(parse_expr("P"), parse_expr("P"), set(), 100)
 

@@ -111,14 +111,30 @@ def test_is_prime():
         assert arith.is_prime(n) == (n in primes)
 
 
-def test_primes_upto():
+def test_primes_upto(monkeypatch):
     assert arith.primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert arith.primes_upto(1) == []
+    monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+    with pytest.raises(BudgetExceededError):
+        arith.primes_upto(10**6 + 1)
 
 
-def test_nth_prime_one_based():
+def test_nth_prime_one_based(monkeypatch):
     assert [arith.nth_prime(i) for i in range(1, 7)] == [2, 3, 5, 7, 11, 13]
     assert arith.prime_index(13) == 6
+    # nth_prime doubles a fresh table until it holds the i-th prime
+    monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+    assert arith.nth_prime(10**4) == 104729
+    assert arith._SIEVE.limit == 2**17
+    monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+    assert arith.nth_prime(78498) == 999983  # the last prime below the cap
+    with pytest.raises(BudgetExceededError):
+        arith.nth_prime(78499)
+    monkeypatch.setattr(arith, "_SIEVE", _Sieve())
+    with pytest.raises(PreconditionError):
+        arith.prime_index(999982)
+    with pytest.raises(BudgetExceededError):
+        arith.prime_index(1000003)
 
 
 def test_coprime_lcm():
@@ -157,24 +173,24 @@ def test_spf_sieve_equals_reference():
 
 
 def test_grown_sieve_equals_sieve_built_at_once():
-    grown, direct = _Sieve(10**6), _Sieve(10**6)
+    grown, direct = _Sieve(), _Sieve()
     for n in (5000, 70000, 300000, 10**6):
         grown.ensure(n)
         assert grown.limit >= n
-        assert grown._spf == _spf_sieve(grown.limit)[0]
+        assert grown.spf == _spf_sieve(grown.limit)[0]
     direct.ensure(10**6)
     assert grown.limit == direct.limit == 10**6
-    assert grown._spf == direct._spf
-    assert grown._primes == direct._primes
+    assert grown.spf == direct.spf
+    assert grown.primes == direct.primes
 
 
-def test_trial_primality_past_the_cap():
-    sieve = _Sieve(10**6)
+def test_trial_primality_past_the_cap(monkeypatch):
+    monkeypatch.setattr(arith, "_SIEVE", _Sieve())
     # 3·7·11·23·29·31·67·83·89: its square root passes the cap, a small prime divides it
-    assert sieve.is_prime(2363972441523) is False
+    assert arith.is_prime(2363972441523) is False
     with pytest.raises(BudgetExceededError):
-        sieve.is_prime(1000003 * 1000033)
-    assert sieve.is_prime(1000003) is True
-    assert sieve.is_prime(999983 * 999979) is False
+        arith.is_prime(1000003 * 1000033)
+    assert arith.is_prime(1000003) is True
+    assert arith.is_prime(999983 * 999979) is False
     largest = 10**12 - 11  # the largest prime below cap**2
-    assert sieve.is_prime(largest) is True
+    assert arith.is_prime(largest) is True

@@ -70,6 +70,8 @@ def test_unknown_node_raises_type_error():
     with pytest.raises(TypeError, match="unknown node"):
         member(Up(Stranger()), 6)
     with pytest.raises(TypeError, match="unknown node"):
+        evaluate_range(Stranger(), 10)
+    with pytest.raises(TypeError, match="unknown node"):
         facts(Stranger())
     with pytest.raises(TypeError, match="unknown node"):
         facts(Up(Stranger()))

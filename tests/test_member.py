@@ -89,6 +89,8 @@ def test_quotient_case_rule_examples():
     assert quotient_case_rule(frozenset({5}), 1) == Up(Lit(frozenset({5})))
     with pytest.raises(PreconditionError):
         quotient_case_rule(frozenset({4}), 3)
+    with pytest.raises(PreconditionError):
+        quotient_case_rule(frozenset({2, 3}), 0)
 
 
 def test_quotient_case_rule_agrees_pointwise():
