@@ -262,7 +262,7 @@ def test_criterion_11_oracle_equivalence(capsys):
                 capsys):
         bound = 10**4
         for e in load_corpus():
-            truth = oracle_set(e, bound)
+            truth = oracle_set(render(e), bound)
             has_down = contains_down(e)
             for m in range(1, bound + 1):
                 v = member(e, m, BUDGET)

@@ -66,7 +66,7 @@ def test_exact_matches_bruteforce_on_small_instances():
     for text in ("{6,10,15,7,11}", "union(mult(4),mult(9))", "level(2)", "up({6})"):
         e = parse_expr(text)
         limit = 24  # keeps candidate sets at <= 25 elements
-        candidates = sorted(oracle_set(e, limit))
+        candidates = sorted(oracle_set(render(e), limit))
         assert len(candidates) <= 25
         size, _ = max_strong_antichain(e, limit, mode="exact")
         assert size == _brute_max_antichain(candidates), render(e)
@@ -101,7 +101,7 @@ def test_cover_validates_members():
     e = parse_expr("up({4,9})")
     cert = covering_witness(e, 3, 10, 10**3)
     assert cert is not None
-    for m in oracle_set(e, 10**3):
+    for m in oracle_set(render(e), 10**3):
         assert any(m % n == 0 for n in cert.covers)
 
 

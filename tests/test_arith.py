@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from oracle import factor
+
 from divfilters import arith
 from divfilters.arith import _Sieve, _spf_sieve
 from divfilters.errors import BudgetExceededError, PreconditionError
@@ -43,22 +45,6 @@ def test_prime_support_equals_factorize():
         arith.prime_support(0)
 
 
-def _trial_factors(m):
-    """The (prime, exponent) pairs of m by trial division, with no sieve."""
-    pairs, d = [], 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            pairs.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        pairs.append((m, 1))
-    return tuple(pairs)
-
-
 # ascending, each past the initial 1,024-entry table: trial division by the
 # primes below 1,024 decides all but the last two, which need the primes up to
 # the cap and so grow the table to it
@@ -74,8 +60,9 @@ def test_sieve_walks_equal_trial_division(monkeypatch):
     # ceil(m / _ENTRIES_PER_MISS) misses
     first = 950000
     walk = range(first, first + math.ceil(10**6 / arith._ENTRIES_PER_MISS))
-    reference = {m: _trial_factors(m) for m in [*range(1, 10**5 + 1), *walk,
-                                                *PAST_THE_SIEVE, *DECIDED_BY_THE_FIRST_PRIMES]}
+    reference = {m: tuple(factor(m).items())
+                 for m in [*range(1, 10**5 + 1), *walk,
+                           *PAST_THE_SIEVE, *DECIDED_BY_THE_FIRST_PRIMES]}
     expected = {
         arith.is_prime: lambda m: reference[m] == ((m, 1),),
         arith.omega: lambda m: sum(e for _, e in reference[m]),

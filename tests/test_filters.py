@@ -201,12 +201,12 @@ def test_product_member_equals_brute_force():
         if e_up is not None and facts(e_up.inner).primes:
             continue
         if 1 not in evaluate_range(e, budget, budget)[1]:
-            targets.append((e, oracle_set(e, budget)))
+            targets.append((e, oracle_set(render(e), budget)))
     assert len(targets) >= 35
     for i, f in enumerate(gens):
-        a = sorted(oracle_set(f.core, budget))
+        a = sorted(oracle_set(render(f.core), budget))
         for g in gens[i:]:
-            b = oracle_set(g.core, budget)
+            b = oracle_set(render(g.core), budget)
             products = {x * y for x in a for y in b if x * y <= budget}
             for e, members in targets:
                 v = product_member(f, g, e, budget)
