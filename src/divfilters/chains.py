@@ -182,4 +182,4 @@ def max_approx(k: int, budget: int = DEFAULT_BUDGET) -> FilterPresentation:
         raise FilterConstructionError(
             f"{witness} = {k}! is not a verified member of core {render(core)}"
         )
-    return FilterPresentation("generated", core, gens=gens, fip_witness=witness)
+    return FilterPresentation(False, core, gens=gens, fip_witness=witness)

@@ -65,13 +65,9 @@ VERDICT_COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64 instead of argparse's 2
-        raise _UsageError(message)
+        raise PreconditionError(message)
 
     def format_help(self):
         # the harness's suite ids are read only when its help is shown, so
@@ -283,8 +279,6 @@ def _run(args: argparse.Namespace) -> tuple[dict | list[str], ProofState]:
                      f"{counts['skipped']} skipped")
         return lines, state
 
-    raise _UsageError(f"unknown command {cmd!r}")
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -293,15 +287,12 @@ def main(argv: list[str] | None = None) -> int:
         payload, state = _run(args)
         _emit(payload, args.json)
         return EXIT_CODES[state]
-    except _UsageError as exc:
-        # no grammar hint: most usage errors are not about an expression
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
         print(GRAMMAR_HINT, file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:
+        # no grammar hint: most usage errors are not about an expression
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DivfiltersError as exc:

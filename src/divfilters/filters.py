@@ -30,7 +30,7 @@ from itertools import count, takewhile
 
 from . import arith
 from .errors import FilterConstructionError, ParseError, PreconditionError
-from .record import Record, _set
+from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
@@ -64,17 +64,15 @@ from .verdict import Verdict, proved, refuted, three_valued_or, unknown
 
 
 class FilterPresentation(Record):
-    """kind is "principal" or "generated"; point is set for a principal
-    filter and gens for a generated one. principal is kind == "principal"."""
+    """principal is True for a principal filter, with point set, and False
+    for a generated one, with gens set."""
 
-    __slots__ = ("kind", "core", "point", "gens", "fip_witness", "_principal")
+    __slots__ = ("principal", "core", "point", "gens", "fip_witness")
     _defaults = {"point": None, "gens": (), "fip_witness": None}
 
-    def _check(self) -> None:
-        _set(self, "_principal", self.kind == "principal")
-
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "core": render(self.core)}
+        out = {"kind": "principal" if self.principal else "generated",
+               "core": render(self.core)}
         if self.principal:
             out["point"] = self.point
         else:
@@ -91,16 +89,10 @@ class FilterPresentation(Record):
         return f"FilterPresentation({self.spec_text()})"
 
 
-# product_member reads the flag on every call, and a slot read costs a
-# fraction of a property that compares kind: the slot _principal, set by
-# _check, is also the class attribute principal
-FilterPresentation.principal = FilterPresentation._principal
-
-
 def principal(n: int) -> FilterPresentation:
     if n < 1:
         raise PreconditionError("principal point must be >= 1")
-    return FilterPresentation("principal", Lit(frozenset({n})), point=n, fip_witness=n)
+    return FilterPresentation(True, Lit(frozenset({n})), point=n, fip_witness=n)
 
 
 def prime_product(args: tuple[SetExpr, ...], limit: int, budget: int) -> int | None:
@@ -159,11 +151,11 @@ def make_filter(
         core = Inter(core, g)
     witness = _structural_min_member(core, budget)
     if witness is not None and member(core, witness, budget).proved:
-        return FilterPresentation("generated", core, gens=gens, fip_witness=witness)
+        return FilterPresentation(False, core, gens=gens, fip_witness=witness)
     saw_unknown = False
     for m, is_proved in scan(core, budget, budget):
         if is_proved:
-            return FilterPresentation("generated", core, gens=gens, fip_witness=m)
+            return FilterPresentation(False, core, gens=gens, fip_witness=m)
         saw_unknown = True
     if saw_unknown:
         raise FilterConstructionError(
@@ -252,7 +244,7 @@ def product_member(
     a, b = f.core, g.core
     # prodset leaves out the products x*x of equal factors; pow puts them back
     core = Union(ProdSet((a, b)), PowSet(Inter(a, b), 2))
-    return filter_member(FilterPresentation("generated", core, gens=(core,)), e, budget)
+    return filter_member(FilterPresentation(False, core, gens=(core,)), e, budget)
 
 
 def Quot_of(e: SetExpr, n: int) -> SetExpr:
@@ -302,7 +294,7 @@ def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:
         return principal(f.point * h)
     core = Scale(f.core, h)
     witness = None if f.fip_witness is None else f.fip_witness * h
-    return FilterPresentation("generated", core, gens=(core,), fip_witness=witness)
+    return FilterPresentation(False, core, gens=(core,), fip_witness=witness)
 
 
 def interpolation_check(

@@ -5,8 +5,7 @@ defaults for trailing fields in _defaults. It gets: an __init__ that takes
 the fields by position or keyword; equality by exact class and equal
 fields; a hash of the field values; a field-by-field repr; pickling and
 copying; and an AttributeError on assignment or deletion. A subclass may
-define _check(), called once the fields are set, to reject bad values or
-to set private state derived from the fields.
+define _check(), called once the fields are set, to reject bad values.
 
 __init__, _values and __eq__ are compiled once per class, since they run
 on every construction and every memo lookup. Slot names that start with

@@ -791,6 +791,8 @@ def quotient_case_rule(primes: frozenset[int] | set[int], m: int) -> SetExpr:
     """
     if m < 1:
         raise PreconditionError("m must be >= 1")
+    if not primes:
+        raise PreconditionError("B must hold at least one prime")
     bad = [p for p in primes if not arith.is_prime(p)]
     if bad:
         raise PreconditionError(f"non-prime elements in B: {sorted(bad)}")

@@ -106,8 +106,8 @@ class Lit(SetExpr):
     __slots__ = ("elements",)
 
     def _check(self):
-        if any(not isinstance(x, int) or x < 1 for x in self.elements):
-            raise PreconditionError("Lit elements must be naturals >= 1")
+        if not self.elements or any(type(x) is not int or x < 1 for x in self.elements):
+            raise PreconditionError("Lit elements must be one or more naturals >= 1")
 
 
 def lit(*elements: int) -> Lit:
@@ -121,7 +121,7 @@ class Mult(SetExpr):
     __slots__ = ("n",)
 
     def _check(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise PreconditionError("mult parameter must be >= 1")
 
 
@@ -132,7 +132,7 @@ class Level(SetExpr):
     __slots__ = ("n",)
 
     def _check(self):
-        if self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise PreconditionError("level parameter must be >= 0")
 
 
@@ -143,7 +143,7 @@ class PrimesIdx(SetExpr):
     __slots__ = ("r", "m")
 
     def _check(self):
-        if self.m < 1 or not (1 <= self.r <= self.m):
+        if type(self.r) is not int or type(self.m) is not int or not 1 <= self.r <= self.m:
             raise PreconditionError("primesIdx requires 1 <= r <= m")
 
 
@@ -154,7 +154,7 @@ class PrimesGeom(SetExpr):
     __slots__ = ("c", "q")
 
     def _check(self):
-        if self.c < 1 or self.q < 2:
+        if type(self.c) is not int or type(self.q) is not int or self.c < 1 or self.q < 2:
             raise PreconditionError("primesGeom requires c >= 1 and q >= 2")
 
 
@@ -165,7 +165,7 @@ class PowSet(SetExpr):
     __slots__ = ("base", "n")
 
     def _check(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise PreconditionError("pow exponent must be >= 1")
 
 
@@ -218,7 +218,7 @@ class Quot(SetExpr):
     __slots__ = ("inner", "n")
 
     def _check(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise PreconditionError("quot divisor must be >= 1")
 
 
@@ -229,7 +229,7 @@ class Scale(SetExpr):
     __slots__ = ("inner", "n")
 
     def _check(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise PreconditionError("scale factor must be >= 1")
 
 

@@ -75,14 +75,13 @@ SKIPPED_L53 = {
 }
 
 
-def test_default_run_at_seed_0_passes_every_case():
-    report = run_harness()
-    assert report.seed == 0 and report.passed
-    assert report.counts == {"pass": 62, "fail": 0, "skipped": 15}
-    assert [(c.lemma_id, c.case_id) for c in report.cases] == [
+def test_default_run_at_seed_0_passes_every_case(default_report):
+    assert default_report.seed == 0 and default_report.passed
+    assert default_report.counts == {"pass": 62, "fail": 0, "skipped": 15}
+    assert [(c.lemma_id, c.case_id) for c in default_report.cases] == [
         (lemma, case_id) for lemma, ids in DEFAULT_CASES.items() for case_id in ids]
-    assert {c.case_id for c in report.cases if c.outcome == "skipped"} == SKIPPED_L53
-    assert all(c.lemma_id == "L5.3" for c in report.cases if c.outcome == "skipped")
+    assert {c.case_id for c in default_report.cases if c.outcome == "skipped"} == SKIPPED_L53
+    assert all(c.lemma_id == "L5.3" for c in default_report.cases if c.outcome == "skipped")
 
 
 def _flip_member_at(monkeypatch, node_class, point):

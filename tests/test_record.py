@@ -39,10 +39,10 @@ def test_factorization_fields_equality_and_repr():
 
 def test_defaults_and_keywords():
     core = Mult(2)
-    f = FilterPresentation("generated", core, gens=(core,))
+    f = FilterPresentation(False, core, gens=(core,))
     assert (f.point, f.gens, f.fip_witness) == (None, (core,), None)
-    assert f == FilterPresentation("generated", core, None, (core,), None)
-    assert make_filter([core]) == FilterPresentation("generated", core, gens=(core,), fip_witness=2)
+    assert f == FilterPresentation(False, core, None, (core,), None)
+    assert make_filter([core]) == FilterPresentation(False, core, gens=(core,), fip_witness=2)
     assert principal(6).point == 6 and repr(principal(6)) == "FilterPresentation(principal:6)"
     assert AntichainCertificate((2, 3), core, 10).mode == "exact"
     assert not CoveringCertificate(frozenset({2}), core, 10).structural
@@ -51,9 +51,9 @@ def test_defaults_and_keywords():
 
 def test_bad_arguments_raise_type_error():
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'core'"):
-        FilterPresentation("generated")
+        FilterPresentation(False)
     with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
-        FilterPresentation("generated", Mult(2), colour=1)
+        FilterPresentation(False, Mult(2), colour=1)
     with pytest.raises(TypeError, match="takes 4 positional arguments but 5"):
         LcmWitness(1, 2, 3, 4)
     with pytest.raises(TypeError):
@@ -77,7 +77,7 @@ def test_filter_presentation_principal_flag(monkeypatch):
         "scale principal": (scale_filter(principal(3), 5), True),
         "scale generated": (scale_filter(make_filter([Mult(2)]), 3), False),
         "product core": (product_core, False),
-        "by hand": (FilterPresentation("principal", Lit(frozenset({2})), point=2), True),
+        "by hand": (FilterPresentation(True, Lit(frozenset({2})), point=2), True),
     }
     for name, (f, flag) in built.items():
         assert f.principal is flag, name
@@ -89,13 +89,13 @@ def test_filter_presentation_principal_flag(monkeypatch):
 
 def test_filter_presentation_values():
     p, g = principal(6), make_filter([Mult(2), Mult(3)])
-    assert FilterPresentation._fields == ("kind", "core", "point", "gens", "fip_witness")
-    assert p._values() == ("principal", Lit(frozenset({6})), 6, (), 6)
-    assert g._values() == ("generated", Inter(Mult(2), Mult(3)), None,
+    assert FilterPresentation._fields == ("principal", "core", "point", "gens", "fip_witness")
+    assert p._values() == (True, Lit(frozenset({6})), 6, (), 6)
+    assert g._values() == (False, Inter(Mult(2), Mult(3)), None,
                            (Mult(2), Mult(3)), 6)
     assert hash(p) == hash(p._values()) and hash(g) == hash(g._values())
     assert p == principal(6) and p != principal(7) and p != g
-    assert g == FilterPresentation("generated", Inter(Mult(2), Mult(3)),
+    assert g == FilterPresentation(False, Inter(Mult(2), Mult(3)),
                                    gens=(Mult(2), Mult(3)), fip_witness=6)
     assert repr(p) == "FilterPresentation(principal:6)"
     assert repr(g) == "FilterPresentation(gen:[mult(2);mult(3)])"
@@ -103,7 +103,7 @@ def test_filter_presentation_values():
     assert g.to_json() == {"kind": "generated", "core": "inter(mult(2),mult(3))",
                            "generators": ["mult(2)", "mult(3)"], "fip_witness": 6}
     scaled = scale_filter(make_filter([Mult(2)]), 3)
-    assert scaled._values() == ("generated", Scale(Mult(2), 3), None,
+    assert scaled._values() == (False, Scale(Mult(2), 3), None,
                                 (Scale(Mult(2), 3),), 6)
     for f in (p, g, scaled):
         assert pickle.loads(pickle.dumps(f)) == f

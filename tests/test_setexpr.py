@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, settings
 
 from divfilters import load_corpus
-from divfilters.errors import ParseError
-from divfilters.semantics import evaluate_range, is_upward_closed, member, simplify
+from divfilters.errors import ParseError, PreconditionError
+from divfilters.semantics import (
+    evaluate_range,
+    is_upward_closed,
+    member,
+    quotient_case_rule,
+    simplify,
+)
 from divfilters.setexpr import (
     MAX_DEPTH,
+    N,
+    P,
     Comp,
     Inter,
     Level,
     Lit,
     Mult,
+    PowSet,
+    PrimesGeom,
     PrimesIdx,
     Quot,
     Scale,
@@ -169,6 +179,32 @@ def test_nodes_are_immutable():
     assert e == Quot(Mult(4), 2) and hash(e) == hash(Quot(Mult(4), 2))
     with pytest.raises(AttributeError):
         Mult(2).__dict__
+
+
+# Each call that builds a node the grammar cannot write: a field its sig
+# declares a natural holds a float or a bool, or a "+" field is empty
+_OFF_SIG = [
+    (Lit, (frozenset(),)),
+    (Lit, (frozenset({True}),)),
+    (Lit, (frozenset({2.5}),)),
+    (quotient_case_rule, (frozenset(), 5)),
+    (Mult, (2.5,)),
+    (Mult, (True,)),
+    (Level, (0.5,)),
+    (PrimesIdx, (1.5, 2)),
+    (PrimesIdx, (1, 2.0)),
+    (PrimesGeom, (1, 2.0)),
+    (PowSet, (P, 2.0)),
+    (Quot, (N, True)),
+    (Scale, (N, 1.5)),
+]
+
+
+@pytest.mark.parametrize("build,args", _OFF_SIG,
+                         ids=[f"{build.__name__}{args}" for build, args in _OFF_SIG])
+def test_fields_outside_the_sig_are_refused(build, args):
+    with pytest.raises(PreconditionError):
+        build(*args)
 
 
 def test_nodes_survive_copy_and_pickle():
