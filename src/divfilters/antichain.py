@@ -147,6 +147,16 @@ def _class_upper_bound(supports: list[frozenset[int]]) -> int:
     return bound
 
 
+def _complete_members(e: SetExpr, limit: int, budget: int) -> list[int]:
+    """Members of e up to `limit`; raise if any verdict is Unknown."""
+    members, complete = enumerate_upto(e, limit, max(budget, limit))
+    if not complete:
+        raise IncompleteEnumerationError(
+            f"members of {render(e)} up to {limit} contain Unknown verdicts"
+        )
+    return members
+
+
 def max_strong_antichain(
     e: SetExpr,
     limit: int,
@@ -157,12 +167,7 @@ def max_strong_antichain(
     members of e up to `limit`."""
     if mode not in ("exact", "greedy"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    budget = max(budget, limit)
-    candidates, complete = enumerate_upto(e, limit, budget)
-    if not complete:
-        raise IncompleteEnumerationError(
-            f"members of {render(e)} up to {limit} contain Unknown verdicts"
-        )
+    candidates = _complete_members(e, limit, budget)
     # ascending smallest-prime-factor order keeps exploration deterministic
     supports = [arith.prime_support(x) for x in candidates]
     order = sorted(
@@ -289,12 +294,7 @@ def covering_witness(
     [2, n_max], validated against all members of e up to `limit`."""
     if min(k_max, n_max, limit) < 1:
         raise PreconditionError("k_max, n_max and limit must be >= 1")
-    budget = max(budget, limit)
-    members, complete = enumerate_upto(e, limit, budget)
-    if not complete:
-        raise IncompleteEnumerationError(
-            f"members of {render(e)} up to {limit} contain Unknown verdicts"
-        )
+    members = _complete_members(e, limit, budget)
     sc = facts(e).cover
     for k in range(1, k_max + 1):
         for combo in combinations(range(2, n_max + 1), k):

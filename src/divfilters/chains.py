@@ -49,6 +49,9 @@ def ad_family(k: int, scheme: str = "residue") -> list[SetExpr]:
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    # member k's least prime is the k-th prime or later, past the cap
+    if k > arith.DEFAULT_SIEVE_CAP:
+        raise BudgetExceededError(f"k exceeds the sieve cap {arith.DEFAULT_SIEVE_CAP}")
     if scheme == "residue":
         return [PrimesIdx(r, k) for r in range(1, k + 1)]
     if scheme == "tree":
@@ -65,13 +68,13 @@ def ad_family(k: int, scheme: str = "residue") -> list[SetExpr]:
 
 
 class ChainSpec(Record):
-    """A chain of filters: links holds length + 1 filters."""
+    """A chain of filters: links holds len(family) + 1 filters."""
 
-    __slots__ = ("length", "family", "links", "prime_filters", "scheme")
+    __slots__ = ("family", "links", "scheme")
 
     def to_json(self) -> dict:
         return {
-            "k": self.length,
+            "k": len(self.family),
             "scheme": self.scheme,
             "family": [render(a) for a in self.family],
             "links": [f.spec_text() for f in self.links],
@@ -90,8 +93,7 @@ def build_chain(
     for j in range(1, k + 1):
         gen = Up(ProdSet(tuple(used[:j])))
         links.append(make_filter([gen], budget))
-    prime_filters = [make_filter([Up(a)], budget) for a in used]
-    return ChainSpec(k, tuple(used), tuple(links), tuple(prime_filters), scheme)
+    return ChainSpec(tuple(used), tuple(links), scheme)
 
 
 class PairResult(Record):
@@ -120,14 +122,16 @@ class ChainReport(Record):
 def verify_chain(
     chain: ChainSpec, limit: int = 10**6, budget: int = DEFAULT_BUDGET
 ) -> ChainReport:
-    """Check both halves of the chain invariant for every index pair."""
+    """Check both halves of the chain invariant for every index pair; the
+    prime filter of each family member is built here, at `budget`."""
     results: list[PairResult] = []
-    k = chain.length
+    k = len(chain.family)
+    member_filters = [make_filter([Up(a)], budget) for a in chain.family]
     for alpha in range(k + 1):
         link = chain.links[alpha]
         for beta in range(k):
             if beta < alpha:
-                v = divides_tilde(chain.prime_filters[beta], link, budget)
+                v = divides_tilde(member_filters[beta], link, budget)
                 results.append(PairResult(beta, alpha, "divides", v, v.proved))
             else:
                 v = _omission_verdict(chain, alpha, beta, limit, budget)

@@ -116,7 +116,7 @@ def _structural_min_member(e: SetExpr, budget: int) -> int | None:
     if isinstance(e, Primes):
         return 2
     if isinstance(e, Lit):
-        return min(e.elements) if e.elements else None
+        return min(e.elements)
     if isinstance(e, Mult):
         return e.n
     if isinstance(e, PrimesIdx):

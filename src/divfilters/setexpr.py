@@ -294,10 +294,6 @@ def map_children(e: SetExpr, f) -> SetExpr:
     return type(e)(*values)
 
 
-def node_count(e: SetExpr) -> int:
-    return 1 + sum(node_count(c) for c in children(e))
-
-
 def depth(e: SetExpr) -> int:
     kids = children(e)
     return 1 + (max(depth(c) for c in kids) if kids else 0)

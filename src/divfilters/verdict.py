@@ -52,8 +52,8 @@ _UNKNOWN = ProofState.UNKNOWN
 class Verdict:
     """Outcome of a (possibly semi-decidable) query.
 
-    certificate is an optional witness: a natural number, a finite tuple/set,
-    or the name of the structural rule that applied.
+    certificate is an optional witness: a natural number, a finite tuple,
+    a dict, a record, or the name of the structural rule that applied.
     """
 
     __slots__ = ("state", "budget", "certificate", "proved", "refuted", "unknown",
@@ -78,8 +78,6 @@ class Verdict:
             cert = self.certificate
             if hasattr(cert, "to_json"):
                 cert = cert.to_json()
-            elif isinstance(cert, (set, frozenset)):
-                cert = sorted(cert)
             elif isinstance(cert, tuple):
                 cert = list(cert)
             out["certificate"] = cert

@@ -379,29 +379,8 @@ def test_window_scan_opens_windows_for_a_bare_prodset(monkeypatch):
     assert next(scan(bare, 700, 700)) == (1, True) and windows == [64]
 
 
-def _windowed_upward_closed(e, budget):
-    """is_upward_closed with windows [1..w] growing fourfold up to the budget
-    for every expression, as before expressions with `down` were scanned in
-    one window."""
-    if facts(e).up_closed:
-        return proved(budget, "structural")
-    window = min(64, budget)
-    while True:
-        proved_, unknown_ = evaluate_range(e, window, budget)
-        least = m = proved_.find(1)
-        while m != -1:
-            multiples = range(2 * m, window + 1, m)
-            refuted_at = [k for k in multiples if not (proved_[k] or unknown_[k])]
-            if refuted_at:
-                if window == budget or m == least:
-                    return refuted(budget, (m, refuted_at[0]))
-                break
-            m = proved_.find(1, m + 1)
-        if window == budget:
-            return unknown(budget)
-        window = min(4 * window, budget)
-
-
+# is_upward_closed scans in windows; with `down` in the expression its
+# windowed verdict must still be the pointwise reference's
 @pytest.mark.parametrize(
     "text",
     [
@@ -414,13 +393,13 @@ def _windowed_upward_closed(e, budget):
 def test_upward_closed_with_down_equals_windowed(text):
     e = parse_expr(text)
     for budget in (1, 100, 1000, BUDGET):
-        assert _same_verdict(is_upward_closed(e, budget), _windowed_upward_closed(e, budget))
+        assert _same_verdict(is_upward_closed(e, budget), _reference_upward_closed(e, budget))
 
 
 @given(wide_exprs.filter(contains_down), st.integers(1, 500))
 @settings(max_examples=100, deadline=None)
 def test_generated_upward_closed_with_down_equals_windowed(e, budget):
-    assert _same_verdict(is_upward_closed(e, budget), _windowed_upward_closed(e, budget))
+    assert _same_verdict(is_upward_closed(e, budget), _reference_upward_closed(e, budget))
 
 
 # --- the one-pass class bound against the recounting one ------------------------

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from divfilters.arith import omega
+from divfilters.arith import DEFAULT_SIEVE_CAP, omega
 from divfilters.chains import (
     ChainSpec,
     ad_family,
@@ -11,7 +11,7 @@ from divfilters.chains import (
     verify_chain,
 )
 from divfilters import chains
-from divfilters.errors import FilterConstructionError, PreconditionError
+from divfilters.errors import BudgetExceededError, FilterConstructionError, PreconditionError
 from divfilters.filters import divides_tilde, make_filter, principal
 from divfilters.antichain import is_n_free
 from divfilters.semantics import enumerate_upto
@@ -25,6 +25,12 @@ def test_ad_family_residue():
     fam = ad_family(4, "residue")
     assert fam == [PrimesIdx(r, 4) for r in (1, 2, 3, 4)]
     assert ad_family(1, "residue") == [PrimesIdx(1, 1)]
+
+
+@pytest.mark.parametrize("scheme", ["residue", "tree"])
+def test_ad_family_past_the_sieve_cap_raises(scheme):
+    with pytest.raises(BudgetExceededError, match=f"sieve cap {DEFAULT_SIEVE_CAP}$"):
+        ad_family(DEFAULT_SIEVE_CAP + 1, scheme)
 
 
 def test_ad_family_tree_pairwise_small_intersections():
@@ -57,7 +63,7 @@ def test_ad_family_members_meet_only_where_the_scheme_allows(scheme):
 
 def test_build_chain_shape():
     chain = build_chain(3, scheme="residue")
-    assert chain.length == 3
+    assert len(chain.family) == 3
     assert chain.links[0].principal and chain.links[0].point == 1
     for j in range(1, 4):
         gen = chain.links[j].gens[0]
@@ -68,7 +74,7 @@ def test_build_chain_shape():
 
 def test_build_chain_trivial_and_rejections():
     chain = build_chain(0)
-    assert chain.length == 0 and len(chain.links) == 1
+    assert len(chain.family) == 0 and len(chain.links) == 1
     with pytest.raises(PreconditionError):
         build_chain(-1)
     with pytest.raises(PreconditionError):
@@ -93,9 +99,7 @@ def test_verify_chain_detects_permuted_links():
     chain = build_chain(3, scheme="residue")
     links = list(chain.links)
     links[1], links[3] = links[3], links[1]
-    broken = ChainSpec(
-        chain.length, chain.family, tuple(links), chain.prime_filters, chain.scheme
-    )
+    broken = ChainSpec(chain.family, tuple(links), chain.scheme)
     report = verify_chain(broken, 10**6, BUDGET)
     assert not report.passed
     violated = [(p.beta, p.alpha) for p in report.pairs if not p.ok]
@@ -143,8 +147,7 @@ def test_omission_witness_inside_target_is_not_proved():
         Union(Lit(frozenset({1})), PrimesGeom(3, 2)),
     )
     links = (principal(1),) + tuple(make_filter([Up(ProdSet(family[:j]))]) for j in (1, 2))
-    prime_filters = tuple(make_filter([Up(a)]) for a in family)
-    chain = ChainSpec(2, family, links, prime_filters, "by-hand")
+    chain = ChainSpec(family, links, "by-hand")
     report = verify_chain(chain, 1000, BUDGET)
     pair = next(p for p in report.pairs if (p.beta, p.alpha) == (1, 1))
     assert pair.verdict.unknown and pair.verdict.certificate == 2

@@ -55,6 +55,9 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, ["harness", "NOPE"])[0] == 64
     assert run(capsys, ["bogus-command"])[0] == 64
     assert run(capsys, ["member"])[0] == 64
+    code, out, err = run(capsys, ["divides", "gen:[;]", "principal:2"])
+    assert (code, out) == (64, "")
+    assert err.startswith("parse error at offset 5: empty generator list (at offset 5)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -154,6 +157,33 @@ def test_chain_verify_exits_2_when_failing_pairs_are_only_unknown(capsys):
     failing = [line for line in lines[:-1] if line.endswith("ok=False")]
     assert len(failing) == 6
     assert all("verdict=unknown-at-bound" in line for line in failing)
+    code, out, _ = run(capsys, ["chain-verify", "6", "--bound", "3", "--json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failing = [pair for pair in payload["pairs"] if not pair["ok"]]
+    assert len(failing) == 6
+    assert all(pair["state"] == "unknown-at-bound" for pair in failing)
+
+
+@pytest.mark.parametrize("command", ["chain-build", "chain-verify"])
+def test_chain_length_past_the_sieve_cap_is_an_error(capsys, monkeypatch, command):
+    # refused before the family is built, so the table stays small
+    monkeypatch.setattr(arith, "_SIEVE", arith._Sieve())
+    assert run(capsys, [command, "9" * 700]) == (
+        2, "", f"error: k exceeds the sieve cap {arith.DEFAULT_SIEVE_CAP}\n")
+    assert arith._SIEVE.limit <= 4096
+
+
+def test_tree_chain_builds_at_a_budget_below_its_prime_filters(capsys):
+    # the links' witnesses are structural; a tree family member's prime
+    # filter scans for 2, past budget 1, and only chain-verify builds it
+    code, out, err = run(capsys, ["chain-build", "3", "--scheme", "tree", "--budget", "1"])
+    assert (code, err) == (0, "")
+    assert out.startswith("k       3\nscheme  tree\n")
+    assert run(capsys, ["chain-verify", "3", "--scheme", "tree", "--budget", "1"]) == (
+        2, "", "error: core up(union({2,3,7},primesGeom(4,2))) is empty up to budget 1; "
+        "the presentation fails the finite intersection property\n")
 
 
 def test_chain_verify_exits_1_when_a_pair_is_decided_wrongly(capsys, monkeypatch):
@@ -220,6 +250,27 @@ def test_nesting_past_the_parser_limit_exits_64(capsys):
     assert code == 64
     assert out == ""
     assert "nested deeper than" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["antichain", "down(level(3))", "--bound", "100", "--budget", "100"],
+     "error: members of down(level(3)) up to 100 contain Unknown verdicts\n"),
+    (["cover", "down(level(3))", "--bound", "100", "--budget", "100"],
+     "error: members of down(level(3)) up to 100 contain Unknown verdicts\n"),
+    (["divides", "gen:[empty]", "principal:2"],
+     "error: core empty is empty up to budget 10000; "
+     "the presentation fails the finite intersection property\n"),
+])
+def test_library_error_exits_2(capsys, argv, err):
+    assert run(capsys, argv) == (2, "", err)
+
+
+def test_harness_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["harness", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(lemma_id in out for lemma_id in LEMMA_IDS)
 
 
 def test_crash_exits_70_with_traceback(capsys, monkeypatch):

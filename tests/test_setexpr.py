@@ -31,7 +31,6 @@ from divfilters.setexpr import (
     Up,
     depth,
     map_children,
-    node_count,
     parse_expr,
     render,
 )
@@ -81,7 +80,6 @@ def test_primesidx_residue_bounds():
 
 def test_node_count_and_depth():
     e = parse_expr("up(inter(level(2),comp({4})))")
-    assert node_count(e) == 5
     assert depth(e) == 4
 
 
