@@ -23,8 +23,7 @@ larger than the best so far:
   prunes the way to the first maximum, and the search stops once the floor
   meets the class bound of the root.
 
-1 is coprime to everything, so antichains containing 1 are legal; solvers
-report its presence separately in diagnostics.
+1 is coprime to everything, so antichains containing 1 are legal.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class AntichainCertificate(Record):
 
     __slots__ = ("witness", "host", "bound", "mode")
     _defaults = {"mode": "exact"}
-
-    @property
-    def contains_one(self) -> bool:
-        return 1 in self.witness
 
     def to_json(self) -> dict:
         return {
@@ -373,7 +368,6 @@ def lcm_extension(
     for name, expr in (("A", a_expr), ("B", b_expr)):
         if not is_upward_closed(expr, budget).proved:
             raise PreconditionError(f"{name} = {render(expr)} is not proved upward closed")
-    _check_pairwise_coprime(x)
     a = extend_antichain(a_expr, x, limit, budget)
     if a is None:
         return None

@@ -288,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(payload, args.json)
         return EXIT_CODES[state]
     except ParseError as exc:
-        print(f"parse error at offset {exc.position}: {exc}", file=sys.stderr)
+        print(f"parse error: {exc}", file=sys.stderr)
         print(GRAMMAR_HINT, file=sys.stderr)
         return EXIT_USAGE
     except PreconditionError as exc:

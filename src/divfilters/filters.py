@@ -168,23 +168,32 @@ def make_filter(
 
 
 def parse_filter_spec(text: str, budget: int = DEFAULT_BUDGET) -> FilterPresentation:
-    """Parse "principal:6" or "gen:[mult(2);mult(3)]"."""
+    """Parse "principal:6" or "gen:[mult(2);mult(3)]". A ParseError's
+    offset counts from the start of text as given."""
+    lead = len(text) - len(text.lstrip())
     text = text.strip()
     if text.startswith("principal:"):
         body = text[len("principal:") :]
+        at = lead + len("principal:")
         try:
             point = int(body) if body.isascii() and body.isdigit() else 0
         except ValueError:  # more digits than the interpreter converts
-            raise ParseError("natural number has too many digits", len("principal:")) from None
+            raise ParseError("natural number has too many digits", at) from None
         if point < 1:
-            raise ParseError("principal point must be a natural >= 1", len("principal:"))
+            raise ParseError("principal point must be a natural >= 1", at)
         return principal(point)
     if text.startswith("gen:[") and text.endswith("]"):
-        body = text[len("gen:[") : -1]
-        parts = [p for p in body.split(";") if p.strip()]
-        if not parts:
-            raise ParseError("empty generator list", len("gen:["))
-        return make_filter([parse_expr(p) for p in parts], budget)
+        gens, at = [], lead + len("gen:[")
+        for part in text[len("gen:[") : -1].split(";"):
+            if part.strip():
+                try:
+                    gens.append(parse_expr(part))
+                except ParseError as exc:
+                    raise ParseError(exc.message, at + exc.position) from None
+            at += len(part) + 1
+        if not gens:
+            raise ParseError("empty generator list", lead + len("gen:["))
+        return make_filter(gens, budget)
     raise ParseError("filter spec must be 'principal:<n>' or 'gen:[e1;e2;...]'", 0)
 
 

@@ -28,10 +28,10 @@ or UNKNOWN_AT[budget], and a connective may return a child's verdict as its
 own.
 
 To add a node class: declare it in setexpr, syntax included (the only
-syntax edit), as a final class, since every lookup is by exact type; write a
-handler _member_<name>(e, m, budget) and add the pair to _HANDLERS; add a
-rule to facts() and a branch to _range. A class missing from any of the
-three raises TypeError there.
+syntax edit; its sig also gives its field checks), as a final class, since
+every lookup is by exact type; write a handler _member_<name>(e, m,
+budget) and add the pair to _HANDLERS; add a rule to facts() and a branch
+to _range. A class missing from any of the three raises TypeError there.
 
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges. It falls back

@@ -22,8 +22,9 @@ word ("{" for a literal set, whose arguments sit in braces), `__slots__`,
 its fields in order, and `sig`, one argument kind per field: "e" an
 expression, "n" a natural >= 1, "z" a natural >= 0. A "+" after the last
 kind means one or more, held in a tuple of expressions or a frozenset of
-naturals. render, children, map_children, the parser and usage read only
-that declaration.
+naturals. render, children, map_children, the parser, usage and the field
+check on construction read only that declaration; a class adds its own
+_check only for a condition across fields.
 
 Nodes are plain slotted classes built from the same declaration (see
 record.Record): construction takes the fields in order, assignment raises
@@ -49,6 +50,18 @@ MAX_DEPTH = 200
 
 # every node class, in declaration order, which is the order usage lists them
 NODE_CLASSES: list[type[SetExpr]] = []
+# (field, kind) pairs of each node class, read from its sig: "e", "n" or
+# "z", or "e+" and "n+" for a repeated last kind
+_ARGS: dict[type[SetExpr], tuple[tuple[str, str], ...]] = {}
+# what a field of each kind but "e" must hold, as a test and in words;
+# type(x) is int refuses a bool
+_FIELD_KINDS = {
+    "n": (lambda x: type(x) is int and x >= 1, "a natural >= 1"),
+    "z": (lambda x: type(x) is int and x >= 0, "a natural >= 0"),
+    "n+": (lambda xs: bool(xs) and all(type(x) is int and x >= 1 for x in xs),
+           "one or more naturals >= 1"),
+    "e+": (bool, "one or more expressions"),
+}
 
 
 class SetExpr(Record):
@@ -59,7 +72,21 @@ class SetExpr(Record):
     sig = ""
 
     def __init_subclass__(cls, **kwargs):
+        kinds = re.findall(r".\+?", cls.sig)
+        tests = [(i, *_FIELD_KINDS[kind]) for i, kind in enumerate(kinds) if kind != "e"]
+        cross_check = cls.__dict__.get("_check")  # the class's own condition across fields
+
+        def _check(self):
+            for i, test, words in tests:
+                if not test(getattr(self, cls._fields[i])):
+                    raise PreconditionError(f"{cls.__name__} {cls._fields[i]} must be {words}")
+            if cross_check:
+                cross_check(self)
+
+        if tests:  # before Record compiles __init__, which calls _check if a class has one
+            cls._check = _check
         super().__init_subclass__(**kwargs)
+        _ARGS[cls] = tuple(zip(cls._fields, kinds))
         NODE_CLASSES.append(cls)
 
     def __hash__(self):
@@ -105,10 +132,6 @@ class Lit(SetExpr):
     head, sig = "{", "n+"
     __slots__ = ("elements",)
 
-    def _check(self):
-        if not self.elements or any(type(x) is not int or x < 1 for x in self.elements):
-            raise PreconditionError("Lit elements must be one or more naturals >= 1")
-
 
 def lit(*elements: int) -> Lit:
     return Lit(frozenset(elements))
@@ -120,20 +143,12 @@ class Mult(SetExpr):
     head, sig = "mult", "n"
     __slots__ = ("n",)
 
-    def _check(self):
-        if type(self.n) is not int or self.n < 1:
-            raise PreconditionError("mult parameter must be >= 1")
-
 
 class Level(SetExpr):
     """Numbers with exactly n prime factors counted with multiplicity."""
 
     head, sig = "level", "z"
     __slots__ = ("n",)
-
-    def _check(self):
-        if type(self.n) is not int or self.n < 0:
-            raise PreconditionError("level parameter must be >= 0")
 
 
 class PrimesIdx(SetExpr):
@@ -143,7 +158,7 @@ class PrimesIdx(SetExpr):
     __slots__ = ("r", "m")
 
     def _check(self):
-        if type(self.r) is not int or type(self.m) is not int or not 1 <= self.r <= self.m:
+        if self.r > self.m:
             raise PreconditionError("primesIdx requires 1 <= r <= m")
 
 
@@ -154,7 +169,7 @@ class PrimesGeom(SetExpr):
     __slots__ = ("c", "q")
 
     def _check(self):
-        if type(self.c) is not int or type(self.q) is not int or self.c < 1 or self.q < 2:
+        if self.q < 2:
             raise PreconditionError("primesGeom requires c >= 1 and q >= 2")
 
 
@@ -164,20 +179,12 @@ class PowSet(SetExpr):
     head, sig = "pow", "en"
     __slots__ = ("base", "n")
 
-    def _check(self):
-        if type(self.n) is not int or self.n < 1:
-            raise PreconditionError("pow exponent must be >= 1")
-
 
 class ProdSet(SetExpr):
     """{x_1*...*x_k : x_i in args[i], pairwise distinct}, k >= 1."""
 
     head, sig = "prodset", "e+"
     __slots__ = ("args",)
-
-    def _check(self):
-        if len(self.args) < 1:
-            raise PreconditionError("prodset needs at least one argument")
 
 
 class Comp(SetExpr):
@@ -217,10 +224,6 @@ class Quot(SetExpr):
     head, sig = "quot", "en"
     __slots__ = ("inner", "n")
 
-    def _check(self):
-        if type(self.n) is not int or self.n < 1:
-            raise PreconditionError("quot divisor must be >= 1")
-
 
 class Scale(SetExpr):
     """n*inner = {n*e : e in inner}."""
@@ -228,20 +231,12 @@ class Scale(SetExpr):
     head, sig = "scale", "en"
     __slots__ = ("inner", "n")
 
-    def _check(self):
-        if type(self.n) is not int or self.n < 1:
-            raise PreconditionError("scale factor must be >= 1")
-
 
 N = Nat()
 P = Primes()
 EMPTY = Empty()
 FACTORIALS = Factorials()
 
-
-# (field, kind) pairs of each node class, read from its sig: "e", "n" or
-# "z", or "e+" and "n+" for a repeated last kind
-_ARGS = {cls: tuple(zip(cls._fields, re.findall(r".\+?", cls.sig))) for cls in NODE_CLASSES}
 _BY_HEAD = {cls.head: cls for cls in NODE_CLASSES}
 
 

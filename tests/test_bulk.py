@@ -92,11 +92,6 @@ def test_corpus_states_equal_pointwise(limit):
         assert _bulk_states(e, limit, BUDGET) == _corpus_reference(index)[:limit], render(e)
 
 
-def test_corpus_states_equal_oracle():
-    for e in CORPUS:
-        _check_oracle(e, _bulk_states(e, BUDGET, BUDGET))
-
-
 @given(wide_exprs, st.integers(0, 300), st.integers(1, 400))
 @settings(max_examples=150, deadline=None)
 def test_generated_states_equal_pointwise(e, limit, budget):

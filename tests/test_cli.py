@@ -57,7 +57,18 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, ["member"])[0] == 64
     code, out, err = run(capsys, ["divides", "gen:[;]", "principal:2"])
     assert (code, out) == (64, "")
-    assert err.startswith("parse error at offset 5: empty generator list (at offset 5)\n")
+    assert err.startswith("parse error: empty generator list (at offset 5)\n")
+
+
+@pytest.mark.parametrize("spec,line", [
+    ("gen:[mult(2);mult(0)]", "naturals start at 1 (at offset 18)"),
+    ("gen:[mult(2);foo]", "unknown expression head 'foo' (at offset 13)"),
+    (" principal:x", "principal point must be a natural >= 1 (at offset 11)"),
+])
+def test_filter_spec_parse_error_points_into_the_spec_as_given(capsys, spec, line):
+    code, out, err = run(capsys, ["divides", spec, "principal:2"])
+    assert (code, out) == (64, "")
+    assert err.splitlines()[0] == f"parse error: {line}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,12 +7,12 @@ import random
 
 import pytest
 
-from divfilters import cli, filters, harness, semantics
+from divfilters import chains, cli, filters, harness, semantics
 from divfilters.antichain import LcmWitness
 from divfilters.chains import build_chain
-from divfilters.errors import PreconditionError
+from divfilters.errors import IncompleteEnumerationError, PreconditionError
 from divfilters.harness import HarnessParams, _sample_prime_sets, run_harness
-from divfilters.setexpr import Factorials, Inter, Lit, Quot, Up, render
+from divfilters.setexpr import P, Factorials, Inter, Lit, Mult, Quot, Up, render
 from divfilters.verdict import proved, refuted, unknown
 
 
@@ -99,8 +99,8 @@ def _flip_member_at(monkeypatch, node_class, point):
 
 def _flip_divides_at(monkeypatch, f_spec, g_spec, at_budget=None):
     """divides_tilde answers the opposite of the truth for one pair (only
-    at_budget, if given), both in the harness and in the CLI, which imports
-    it when it runs."""
+    at_budget, if given), in the harness, in chains and in the CLI, which
+    imports it when it runs."""
     right = filters.divides_tilde
 
     def wrong(f, g, budget=semantics.DEFAULT_BUDGET):
@@ -111,6 +111,7 @@ def _flip_divides_at(monkeypatch, f_spec, g_spec, at_budget=None):
 
     monkeypatch.setattr(filters, "divides_tilde", wrong)
     monkeypatch.setattr(harness, "divides_tilde", wrong)
+    monkeypatch.setattr(chains, "divides_tilde", wrong)
 
 
 def _answer_prime_up_products(monkeypatch, verdict):
@@ -224,6 +225,35 @@ def test_t42_chain_law_names_the_broken_link(monkeypatch, capsys):
     assert _replay(capsys, case) == cli.EXIT_REFUTED
 
 
+def test_t42_invariant_names_the_violated_pair(monkeypatch, capsys):
+    chain = build_chain(6)
+    first_member = filters.make_filter([Up(chain.family[0])]).spec_text()
+    _flip_divides_at(monkeypatch, first_member, chain.links[1].spec_text())
+    case = _failing("T4.2", "invariant-4")
+    assert case.detail == "violated pairs [(0, 1)]"
+    assert case.replay == ["chain-verify", "6", "--scheme", "residue", "--bound", "1000000"]
+    assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+
+def test_l53_names_the_least_missing_antichain_size(monkeypatch):
+    right = harness.find_antichain_of_size
+    monkeypatch.setattr(harness, "find_antichain_of_size", lambda e, t, bound, budget:
+                        None if t >= 3 else right(e, t, bound, budget))
+    case = _failing("L5.3", "P", HarnessParams(corpus=[P]))
+    assert case.detail == "no antichain of size 3"
+    assert case.replay == ["antichain", "P", "--bound", "100000", "--greedy"]
+
+
+def test_l53_skips_an_incomplete_enumeration(monkeypatch):
+    def incomplete(e, bound, mode, budget):
+        raise IncompleteEnumerationError("an Unknown member")
+
+    monkeypatch.setattr(harness, "max_strong_antichain", incomplete)
+    [case] = run_harness(["L5.3"], HarnessParams(corpus=[Mult(6)])).cases
+    assert (case.case_id, case.outcome, case.detail) == (
+        "mult(6)", "skipped", "incomplete enumeration")
+
+
 def test_t55_lcm_outside_the_intersection_replays(monkeypatch, capsys):
     monkeypatch.setattr(harness, "lcm_extension",
                         lambda a, b, x, limit, budget: LcmWitness(1, 1, 1))
@@ -252,3 +282,21 @@ def test_every_suite_rejects_a_missing_budget(lemma):
     # bound and k have per-suite defaults; budget has none
     with pytest.raises(PreconditionError, match="budget"):
         run_harness([lemma], HarnessParams(budget=None))
+
+
+def test_t55_lcm_sharing_a_factor_with_x_fails_without_replay(monkeypatch):
+    # every extension is the one of the empty X, so the second repeats the first
+    right = harness.lcm_extension
+    monkeypatch.setattr(harness, "lcm_extension",
+                        lambda a, b, x, limit, budget: right(a, b, [], limit, budget))
+    a, b = harness._nfree_up_pairs(random.Random(0), 1)[0]
+    case = _failing("T5.5", f"pair-0:{render(a)}|{render(b)}")
+    w = right(a, b, [], 10**5, semantics.DEFAULT_BUDGET).value
+    assert (case.detail, case.replay) == (f"lcm {w} not coprime to X=[{w}]", None)
+
+
+def test_t55_skips_a_pair_not_proved_n_free(monkeypatch):
+    monkeypatch.setattr(harness, "is_n_free", lambda e, budget: unknown(budget))
+    cases = run_harness(["T5.5"]).cases
+    assert len(cases) == 10
+    assert {(c.outcome, c.detail) for c in cases} == {("skipped", "pair not proved N-free")}

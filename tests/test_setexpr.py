@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from divfilters import load_corpus
 from divfilters.errors import ParseError, PreconditionError
+from divfilters.record import Record
 from divfilters.semantics import (
     evaluate_range,
     is_upward_closed,
@@ -16,6 +17,7 @@ from divfilters.semantics import (
 from divfilters.setexpr import (
     MAX_DEPTH,
     N,
+    NODE_CLASSES,
     P,
     Comp,
     Inter,
@@ -25,6 +27,7 @@ from divfilters.setexpr import (
     PowSet,
     PrimesGeom,
     PrimesIdx,
+    ProdSet,
     Quot,
     Scale,
     Union,
@@ -179,30 +182,53 @@ def test_nodes_are_immutable():
         Mult(2).__dict__
 
 
-# Each call that builds a node the grammar cannot write: a field its sig
-# declares a natural holds a float or a bool, or a "+" field is empty
+# Each call that builds a node the grammar cannot write, with its message: a
+# field its sig declares a natural holds a float, a bool or a natural out of
+# range, a "+" field is empty, or the fields break a class's own condition
+_NAT = "must be a natural >= 1"
 _OFF_SIG = [
-    (Lit, (frozenset(),)),
-    (Lit, (frozenset({True}),)),
-    (Lit, (frozenset({2.5}),)),
-    (quotient_case_rule, (frozenset(), 5)),
-    (Mult, (2.5,)),
-    (Mult, (True,)),
-    (Level, (0.5,)),
-    (PrimesIdx, (1.5, 2)),
-    (PrimesIdx, (1, 2.0)),
-    (PrimesGeom, (1, 2.0)),
-    (PowSet, (P, 2.0)),
-    (Quot, (N, True)),
-    (Scale, (N, 1.5)),
+    (Lit, (frozenset(),), "Lit elements must be one or more naturals >= 1"),
+    (Lit, (frozenset({True}),), "Lit elements must be one or more naturals >= 1"),
+    (Lit, (frozenset({2.5}),), "Lit elements must be one or more naturals >= 1"),
+    (Lit, (frozenset({0}),), "Lit elements must be one or more naturals >= 1"),
+    (quotient_case_rule, (frozenset(), 5), "B must hold at least one prime"),
+    (Mult, (2.5,), f"Mult n {_NAT}"),
+    (Mult, (True,), f"Mult n {_NAT}"),
+    (Mult, (0,), f"Mult n {_NAT}"),
+    (Level, (0.5,), "Level n must be a natural >= 0"),
+    (Level, (-1,), "Level n must be a natural >= 0"),
+    (PrimesIdx, (1.5, 2), f"PrimesIdx r {_NAT}"),
+    (PrimesIdx, (1, 2.0), f"PrimesIdx m {_NAT}"),
+    (PrimesIdx, (0, 1), f"PrimesIdx r {_NAT}"),
+    (PrimesIdx, (5, 4), "primesIdx requires 1 <= r <= m"),
+    (PrimesGeom, (1, 2.0), f"PrimesGeom q {_NAT}"),
+    (PrimesGeom, (0, 2), f"PrimesGeom c {_NAT}"),
+    (PrimesGeom, (1, 1), "primesGeom requires c >= 1 and q >= 2"),
+    (PowSet, (P, 2.0), f"PowSet n {_NAT}"),
+    (PowSet, (P, 0), f"PowSet n {_NAT}"),
+    (ProdSet, ((),), "ProdSet args must be one or more expressions"),
+    (Quot, (N, True), f"Quot n {_NAT}"),
+    (Quot, (N, 0), f"Quot n {_NAT}"),
+    (Scale, (N, 1.5), f"Scale n {_NAT}"),
+    (Scale, (N, 0), f"Scale n {_NAT}"),
 ]
 
 
-@pytest.mark.parametrize("build,args", _OFF_SIG,
-                         ids=[f"{build.__name__}{args}" for build, args in _OFF_SIG])
-def test_fields_outside_the_sig_are_refused(build, args):
-    with pytest.raises(PreconditionError):
+@pytest.mark.parametrize("build,args,message", _OFF_SIG,
+                         ids=[f"{build.__name__}{args}" for build, args, _ in _OFF_SIG])
+def test_fields_outside_the_sig_are_refused(build, args, message):
+    with pytest.raises(PreconditionError) as exc:
         build(*args)
+    assert str(exc.value) == message
+
+
+def test_only_nodes_with_a_field_to_check_run_a_check():
+    # a node whose fields are all single expressions, or that has none,
+    # is built without a _check call
+    unchecked = {cls for cls in NODE_CLASSES if cls._check is Record._check}
+    assert unchecked == {cls for cls in NODE_CLASSES if not set(cls.sig) - {"e"}}
+    assert {cls.head for cls in unchecked} == {
+        "N", "P", "empty", "factorials", "comp", "union", "inter", "up", "down"}
 
 
 def test_nodes_survive_copy_and_pickle():
