@@ -19,9 +19,23 @@ larger than the best so far:
   first, never takes x either).
 - Floor: a second greedy, over each smallest-prime class in descending
   value, finds h elements, so the search starts from max(greedy, h - 1);
-  both are below the maximum k* unless greedy is a maximum, so no bound
-  prunes the way to the first maximum, and the search stops once the floor
-  meets the class bound of the root.
+  both are below the maximum k* unless greedy is a maximum, and the search
+  stops once the floor meets the class bound of the root.
+- Bound: a search node holds a partition of its candidates into classes
+  that share a prime, and prunes when the chosen set plus the number of
+  classes that its remaining candidates meet is no more than the floor. A
+  node inherits its parent's partition, restricted to its own candidates
+  (each class still shares a prime); only when that does not prune does it
+  run a fresh greedy partition, keeping whichever has fewer classes.
+  Moving past a candidate takes one from its class, and the bound drops by
+  one when the class empties. A node prunes only sets no larger than the
+  floor, and the floor is below k* until the first maximum is reached, so
+  any valid bound leaves the witness as it is; a tighter one visits no
+  more nodes.
+
+The search has no work bound: the node count can grow exponentially with
+the candidates. At L = 10^4, neither prodset(P,P) nor up(primesIdx(1,2))
+finishes within 8 s on a 2-vCPU Xeon.
 
 1 is coprime to everything, so antichains containing 1 are legal.
 """
@@ -30,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from itertools import combinations, islice
 
 from . import arith
@@ -102,27 +116,30 @@ def _greedy_antichain(candidates: list[int], supports: list[frozenset[int]]) -> 
     return chosen
 
 
-def _class_upper_bound(supports: list[frozenset[int]]) -> int:
-    """Partition into prime-sharing classes; the class count bounds any
-    pairwise-coprime subset.
+def _classes(supports: list[frozenset[int]]) -> list[int]:
+    """Partition into prime-sharing classes: the class of each candidate.
 
-    Classes are taken greedily: each time, the prime shared by the most
-    remaining candidates (the smallest such prime on ties) forms a class and
-    its candidates leave. Counts are made once and then decremented.
+    A pairwise-coprime subset takes at most one candidate from a class, so
+    the number of classes bounds it. Classes are taken greedily: each time,
+    the prime shared by the most remaining candidates (the smallest such
+    prime on ties) forms a class and its candidates leave; 1, and each
+    candidate left that shares no prime with another, is a class of its
+    own. Counts are made once and then decremented.
     """
-    bound = 0
+    labels = [-1] * len(supports)
+    k = 0  # classes so far
     holders: defaultdict[int, list[int]] = defaultdict(list)
     for i, s in enumerate(supports):
         if not s:
-            bound += 1  # the element 1, if present
+            labels[i] = k  # the element 1, if present
+            k += 1
         for p in s:
             holders[p].append(i)
     count = {p: len(ids) for p, ids in holders.items()}
     # max-heap on (count, -p); an entry whose count has since dropped is stale
     heap = [(-c, p) for p, c in count.items()]
     heapq.heapify(heap)
-    removed = bytearray(len(supports))
-    left = len(supports) - bound
+    left = len(supports) - k
     while left:
         c, p = heapq.heappop(heap)
         if -c != count[p]:
@@ -131,15 +148,19 @@ def _class_upper_bound(supports: list[frozenset[int]]) -> int:
             continue
         if c == -1:
             # no prime is shared any more: each candidate is its own class
-            return bound + left
-        bound += 1
+            for i, label in enumerate(labels):
+                if label < 0:
+                    labels[i] = k
+                    k += 1
+            return labels
         for i in holders[p]:
-            if not removed[i]:
-                removed[i] = 1
+            if labels[i] < 0:
+                labels[i] = k
                 left -= 1
                 for q in supports[i]:
                     count[q] -= 1
-    return bound
+        k += 1
+    return labels
 
 
 def _complete_members(e: SetExpr, limit: int, budget: int) -> list[int]:
@@ -225,33 +246,49 @@ def _class_greedy(candidates: list[int], supports: list[frozenset[int]]) -> list
 def _exact_antichain(
     candidates: list[int], supports: list[frozenset[int]], greedy: list[int]
 ) -> list[int]:
-    if _class_upper_bound(supports) == len(greedy):
+    if len(set(_classes(supports))) == len(greedy):
         return greedy
     candidates, supports = _undominated(candidates, supports)
-    root = _class_upper_bound(supports)
+    labels = _classes(supports)
+    root = len(set(labels))
     # a set is kept only when larger than floor, and floor < k* until the
     # first maximum is reached, so the witness is the same as from floor 0
     floor = max(len(greedy), len(_class_greedy(candidates, supports)) - 1)
     best = list(greedy)
-    supports_by_value = dict(zip(candidates, supports))
 
-    def search(rest: list[int], chosen: list[int]) -> None:
-        # tries rest[i] in, then leaves it out and moves on to rest[i + 1]
+    def search(
+        rest: list[int], sups: list[frozenset[int]], labels: list[int], chosen: list[int]
+    ) -> None:
+        # sups[i] is rest[i]'s prime support and labels[i] its class in a
+        # partition of rest into prime-sharing classes; tries rest[i] in,
+        # then leaves it out and moves on to rest[i + 1]
         nonlocal best, floor
         if len(chosen) > floor:
             best = list(chosen)
             floor = len(chosen)
+        size = Counter(labels)
+        if floor < root and len(chosen) + len(size) > floor:
+            fresh = _classes(sups)
+            fresh_size = Counter(fresh)
+            if len(fresh_size) < len(size):
+                labels, size = fresh, fresh_size
+        bound = len(size)  # the classes that rest[i:] meets
         for i, x in enumerate(rest):
-            if floor == root or len(chosen) + len(rest) - i <= floor:
+            if floor == root or len(chosen) + bound <= floor:
                 return
-            tail = [supports_by_value[y] for y in rest[i:]]
-            if len(chosen) + _class_upper_bound(tail) <= floor:
-                return
-            sup = supports_by_value[x]
-            included = [y for y in rest[i + 1 :] if supports_by_value[y].isdisjoint(sup)]
-            search(included, chosen + [x])
+            sup = sups[i]
+            kept = [j for j in range(i + 1, len(rest)) if sups[j].isdisjoint(sup)]
+            search(
+                [rest[j] for j in kept],
+                [sups[j] for j in kept],
+                [labels[j] for j in kept],
+                chosen + [x],
+            )
+            size[labels[i]] -= 1
+            if not size[labels[i]]:
+                bound -= 1
 
-    search(candidates, [])
+    search(candidates, supports, labels, [])
     return best
 
 

@@ -53,14 +53,17 @@ NODE_CLASSES: list[type[SetExpr]] = []
 # (field, kind) pairs of each node class, read from its sig: "e", "n" or
 # "z", or "e+" and "n+" for a repeated last kind
 _ARGS: dict[type[SetExpr], tuple[tuple[str, str], ...]] = {}
-# what a field of each kind but "e" must hold, as a test and in words;
-# type(x) is int refuses a bool
+# what a field of each kind but "e" must hold, as tests in turn and in
+# words; type(x) is int refuses a bool, and a repeated field's container
+# must be hashable, as every memo keyed by expressions hashes the node
 _FIELD_KINDS = {
-    "n": (lambda x: type(x) is int and x >= 1, "a natural >= 1"),
-    "z": (lambda x: type(x) is int and x >= 0, "a natural >= 0"),
-    "n+": (lambda xs: bool(xs) and all(type(x) is int and x >= 1 for x in xs),
-           "one or more naturals >= 1"),
-    "e+": (bool, "one or more expressions"),
+    "n": ((lambda x: type(x) is int and x >= 1, "a natural >= 1"),),
+    "z": ((lambda x: type(x) is int and x >= 0, "a natural >= 0"),),
+    "n+": ((lambda xs: isinstance(xs, frozenset), "a frozenset"),
+           (lambda xs: bool(xs) and all(type(x) is int and x >= 1 for x in xs),
+            "one or more naturals >= 1")),
+    "e+": ((lambda xs: isinstance(xs, tuple), "a tuple"),
+           (bool, "one or more expressions")),
 }
 
 
@@ -73,7 +76,8 @@ class SetExpr(Record):
 
     def __init_subclass__(cls, **kwargs):
         kinds = re.findall(r".\+?", cls.sig)
-        tests = [(i, *_FIELD_KINDS[kind]) for i, kind in enumerate(kinds) if kind != "e"]
+        tests = [(i, *test) for i, kind in enumerate(kinds) if kind != "e"
+                 for test in _FIELD_KINDS[kind]]
         cross_check = cls.__dict__.get("_check")  # the class's own condition across fields
 
         def _check(self):

@@ -1,4 +1,6 @@
+import heapq
 import math
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
@@ -187,8 +189,41 @@ def test_antichain_with_one_reports_presence():
 UNBOUNDED_ANTICHAIN = ("prodset(P,P)", "up(primesIdx(1,2))")
 
 
+def _reference_class_bound(supports):
+    """The greedy class count, written apart from antichain._classes so that
+    the reference solver shares no code with the solver it checks."""
+    bound = 0
+    holders = defaultdict(list)
+    for i, s in enumerate(supports):
+        if not s:
+            bound += 1  # the element 1, if present
+        for p in s:
+            holders[p].append(i)
+    count = {p: len(ids) for p, ids in holders.items()}
+    heap = [(-c, p) for p, c in count.items()]
+    heapq.heapify(heap)
+    removed = bytearray(len(supports))
+    left = len(supports) - bound
+    while left:
+        c, p = heapq.heappop(heap)
+        if -c != count[p]:
+            if count[p]:
+                heapq.heappush(heap, (-count[p], p))
+            continue
+        if c == -1:
+            return bound + left
+        bound += 1
+        for i in holders[p]:
+            if not removed[i]:
+                removed[i] = 1
+                left -= 1
+                for q in supports[i]:
+                    count[q] -= 1
+    return bound
+
+
 def _reference_exact_antichain(candidates, supports, greedy):
-    if antichain._class_upper_bound(supports) == len(greedy):
+    if _reference_class_bound(supports) == len(greedy):
         return greedy
     best = list(greedy)
 
@@ -199,7 +234,7 @@ def _reference_exact_antichain(candidates, supports, greedy):
         if not rest:
             return
         rest_supports = [supports_by_value[x] for x in rest]
-        if len(chosen) + antichain._class_upper_bound(rest_supports) <= len(best):
+        if len(chosen) + _reference_class_bound(rest_supports) <= len(best):
             return
         x = rest[0]
         sup = supports_by_value[x]
@@ -231,6 +266,21 @@ def test_exact_witness_equals_reference(values):
     assert _witness(antichain._exact_antichain, values) == _witness(
         _reference_exact_antichain, values
     )
+
+
+@given(st.sets(st.integers(1, 2000), max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_classes_partition_into_prime_sharing_classes(values):
+    _, supports = _solver_order(values)
+    labels = antichain._classes(supports)
+    assert len(labels) == len(supports)
+    members = defaultdict(list)
+    for label, sup in zip(labels, supports):
+        members[label].append(sup)
+    assert sorted(members) == list(range(len(members)))
+    for sups in members.values():
+        assert len(sups) == 1 or frozenset.intersection(*sups)
+    assert len(members) == _reference_class_bound(supports)
 
 
 @given(st.sets(st.integers(1, 2000), max_size=14))

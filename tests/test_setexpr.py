@@ -184,13 +184,15 @@ def test_nodes_are_immutable():
 
 # Each call that builds a node the grammar cannot write, with its message: a
 # field its sig declares a natural holds a float, a bool or a natural out of
-# range, a "+" field is empty, or the fields break a class's own condition
+# range, a "+" field is empty or in a list or set (unhashable), or the fields
+# break a class's own condition
 _NAT = "must be a natural >= 1"
 _OFF_SIG = [
     (Lit, (frozenset(),), "Lit elements must be one or more naturals >= 1"),
     (Lit, (frozenset({True}),), "Lit elements must be one or more naturals >= 1"),
     (Lit, (frozenset({2.5}),), "Lit elements must be one or more naturals >= 1"),
     (Lit, (frozenset({0}),), "Lit elements must be one or more naturals >= 1"),
+    (Lit, ({2, 3},), "Lit elements must be a frozenset"),
     (quotient_case_rule, (frozenset(), 5), "B must hold at least one prime"),
     (Mult, (2.5,), f"Mult n {_NAT}"),
     (Mult, (True,), f"Mult n {_NAT}"),
@@ -207,6 +209,7 @@ _OFF_SIG = [
     (PowSet, (P, 2.0), f"PowSet n {_NAT}"),
     (PowSet, (P, 0), f"PowSet n {_NAT}"),
     (ProdSet, ((),), "ProdSet args must be one or more expressions"),
+    (ProdSet, ([P, P],), "ProdSet args must be a tuple"),
     (Quot, (N, True), f"Quot n {_NAT}"),
     (Quot, (N, 0), f"Quot n {_NAT}"),
     (Scale, (N, 1.5), f"Scale n {_NAT}"),
