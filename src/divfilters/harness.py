@@ -58,6 +58,7 @@ from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     enumerate_upto,
+    evaluate_range,
     member,
     quotient_case_rule,
     syntactic_cover,
@@ -284,29 +285,59 @@ def _suite_l21b(p: HarnessParams) -> list[HarnessCase]:
 # --- T2.2: Euclid shadow --------------------------------------------------------
 
 def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
-    # bound and budget are arguments, not closure cells, so the 2.3 M
-    # iterations of the inner loop read only locals (likewise in T3.3)
+    """principal(a).principal(b) holds up({q}) exactly when q | a*b, so the
+    grid of pairs a, b <= bound is read from one range of up({q}) up to
+    bound^2: row a is the slice of its multiples a*b. Euclid says the row is
+    all ones when q | a and has ones exactly at the multiples of q
+    otherwise. product_member is asked pointwise on row 1, column 1 and the
+    diagonal, so a fault in either path fails the suite; the first failing
+    pair in (q, a, b) order is reported, with the query that made it."""
     def search(bound: int, budget: int):
         points = [principal(i) for i in range(1, bound + 1)]
+        sample = sorted({(1, b) for b in range(1, bound + 1)}
+                        | {(a, 1) for a in range(1, bound + 1)}
+                        | {(a, a) for a in range(1, bound + 1)})
+        everywhere = b"\1" * bound
         for q in arith.primes_upto(100):
             target = Up(Lit(frozenset({q})))
-            for f_pt, f in enumerate(points, 1):
-                f_in = f_pt % q == 0
-                for g_pt, g in enumerate(points, 1):
-                    got = product_member(f, g, target, budget).proved
-                    if got != (f_in or g_pt % q == 0):
-                        yield (q, f_pt, g_pt), _replay(
-                            budget, "product-member", f"principal:{f_pt}",
-                            f"principal:{g_pt}", render(target))
+            multiples = ((b"\0" * (q - 1) + b"\1") * (bound // q + 1))[:bound]
+            bad = []  # (a, b, replay); on a tie min keeps the pointwise one
+            for a, b in sample:
+                got = product_member(points[a - 1], points[b - 1], target, budget).proved
+                if got != (a % q == 0 or b % q == 0):
+                    bad.append((a, b, _replay(budget, "product-member", f"principal:{a}",
+                                              f"principal:{b}", render(target))))
+                    break
+            proved_, _ = evaluate_range(target, bound * bound, budget)
+            for a in range(1, bound + 1):
+                row = proved_[a : a * bound + 1 : a]
+                want = everywhere if a % q == 0 else multiples
+                if row != want:
+                    b = next(i for i in range(bound) if row[i] != want[i]) + 1
+                    bad.append((a, b, _replay(budget, "enumerate", render(target),
+                                              "--bound", str(a * b))))
+                    break
+            if bad:
+                a, b, replay = min(bad, key=lambda fault: fault[:2])
+                yield (q, a, b), replay
         return f"primes <= 100, points <= {bound}"
 
     bound = p.bound or 300
-    return [_first("T2.2", "euclid-shadow", {"bound": bound}, search(bound, p.budget))]
+    params = {"bound": bound}
+    if bound * bound > arith.DEFAULT_SIEVE_CAP:
+        # past the cap evaluate_range falls back to pointwise evaluation,
+        # and it holds two arrays of bound^2 bytes
+        return [_skip("T2.2", "euclid-shadow", params,
+                      f"bound^2 = {bound * bound} exceeds the sieve cap "
+                      f"{arith.DEFAULT_SIEVE_CAP}")]
+    return [_first("T2.2", "euclid-shadow", params, search(bound, p.budget))]
 
 
 # --- T3.3: principal equivalence ------------------------------------------------
 
 def _suite_t33(p: HarnessParams) -> list[HarnessCase]:
+    # bound and budget are arguments, not closure cells, so the 250,000
+    # iterations of the inner loop read only locals
     def search(bound: int, budget: int):
         points = [principal(i) for i in range(1, bound + 1)]
         for m in range(1, bound + 1):

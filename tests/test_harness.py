@@ -3,11 +3,13 @@ suite: the library is made to give one wrong answer in-process, and the
 suite must fail with the counterexample as its detail and a replay that the
 CLI answers with the verdict the suite saw."""
 
+import json
 import random
+import time
 
 import pytest
 
-from divfilters import chains, cli, filters, harness, semantics
+from divfilters import arith, chains, cli, filters, harness, semantics
 from divfilters.antichain import LcmWitness
 from divfilters.chains import build_chain
 from divfilters.errors import IncompleteEnumerationError, PreconditionError
@@ -179,6 +181,65 @@ def test_t22_counterexample_replays(monkeypatch, capsys):
     assert case.detail == "(2, 1, 6)"
     assert case.replay == ["product-member", "principal:1", "principal:6", "up({2})"]
     assert _replay(capsys, case) == cli.EXIT_REFUTED
+
+
+def _flip_range_at(monkeypatch, target, point):
+    """evaluate_range, and the CLI's enumerate, give the opposite membership
+    of point in target."""
+    right = semantics._range
+
+    def wrong(e, limit, budget):
+        proved_, unknown_ = right(e, limit, budget)
+        if e == target and limit >= point:
+            proved_[point] ^= 1
+        return proved_, unknown_
+
+    monkeypatch.setattr(semantics, "_range", wrong)
+
+
+def test_t22_range_path_counterexample_replays(monkeypatch, capsys):
+    # the range of up({2}) leaves out 6; the pointwise sample never sees it
+    _flip_range_at(monkeypatch, Up(Lit(frozenset({2}))), 6)
+    case = _failing("T2.2", "euclid-shadow")
+    assert case.detail == "(2, 1, 6)"
+    assert case.replay == ["enumerate", "up({2})", "--bound", "6"]
+    assert cli.main(case.replay + ["--json"]) == cli.EXIT_PROVED
+    assert json.loads(capsys.readouterr().out)["members"] == [2, 4]
+
+
+@pytest.mark.parametrize("range_at, member_at, command", [
+    (4, 6, "enumerate"), (6, 4, "product-member"), (6, 6, "product-member")])
+def test_t22_reports_the_first_pair_either_path_fails(monkeypatch, range_at, member_at,
+                                                      command):
+    # on a tie the pointwise query is the replay
+    _flip_range_at(monkeypatch, Up(Lit(frozenset({2}))), range_at)
+    _flip_member_at(monkeypatch, Up, member_at)
+    case = _failing("T2.2", "euclid-shadow")
+    assert case.detail == str((2, 1, min(range_at, member_at)))
+    assert case.replay[0] == command
+
+
+def test_t22_skips_past_the_sieve_cap():
+    start = time.perf_counter()
+    [case] = run_harness(["T2.2"], HarnessParams(bound=1001)).cases
+    assert time.perf_counter() - start < 1
+    assert (case.case_id, case.outcome) == ("euclid-shadow", "skipped")
+    assert case.detail == "bound^2 = 1002001 exceeds the sieve cap 1000000"
+
+
+@pytest.mark.parametrize("budget", [1, 300, semantics.DEFAULT_BUDGET])
+def test_t22_grid_equals_pointwise_product_member(budget):
+    # T2.2 reads row a of its grid as the multiples a*b of one range of up({q})
+    bound = 40
+    points = [filters.principal(i) for i in range(1, bound + 1)]
+    for q in arith.primes_upto(100):
+        target = Up(Lit(frozenset({q})))
+        proved_, unknown_ = semantics.evaluate_range(target, bound * bound, budget)
+        for a in range(1, bound + 1):
+            rows = (proved_[a : a * bound + 1 : a], unknown_[a : a * bound + 1 : a])
+            for b in range(1, bound + 1):
+                v = filters.product_member(points[a - 1], points[b - 1], target, budget)
+                assert (rows[0][b - 1], rows[1][b - 1]) == (v.proved, v.unknown), (q, a, b)
 
 
 def test_t33_counterexample_replays(monkeypatch, capsys):
