@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # each exported name, under the module that defines it
 _EXPORTS = {
     "arith": (
-        "Factorization", "coprime_lcm", "divisors", "factorize", "is_prime",
-        "nth_prime", "omega", "prime_index", "primes_upto",
+        "Factorization", "divisors", "factorize", "is_prime", "nth_prime",
+        "omega", "prime_index", "primes_upto",
     ),
     "errors": (
         "BudgetExceededError", "DivfiltersError", "FilterConstructionError",
@@ -26,7 +26,7 @@ _EXPORTS = {
     "setexpr": (
         "EMPTY", "FACTORIALS", "N", "P", "Comp", "Down", "Empty", "Factorials",
         "Inter", "Level", "Lit", "Mult", "Nat", "PowSet", "Primes", "PrimesGeom",
-        "PrimesIdx", "ProdSet", "Quot", "Scale", "SetExpr", "Union", "Up", "lit",
+        "PrimesIdx", "ProdSet", "Quot", "Scale", "SetExpr", "Union", "Up",
         "parse_expr", "render",
     ),
     "semantics": (
@@ -39,11 +39,11 @@ _EXPORTS = {
         "lcm_extension", "max_strong_antichain",
     ),
     "filters": (
-        "FilterPresentation", "a_sub_h", "d_member", "divides_tilde",
+        "FilterPresentation", "d_member", "divides_tilde",
         "filter_member", "interpolation_check", "make_filter",
         "parse_filter_spec", "principal", "product_member", "scale_filter",
     ),
-    "chains": ("ChainSpec", "ad_family", "build_chain", "max_approx", "verify_chain"),
+    "chains": ("ChainSpec", "ad_family", "build_chain", "verify_chain"),
     "corpus": ("default_filters", "load_corpus", "random_expressions"),
     "harness": ("LEMMA_IDS", "HarnessCase", "HarnessParams", "HarnessReport", "run_harness"),
 }

@@ -411,5 +411,4 @@ def lcm_extension(
     b = extend_antichain(b_expr, x, limit, budget)
     if b is None:
         return None
-    _, l, _ = arith.coprime_lcm(a, b)
-    return LcmWitness(a, b, l)
+    return LcmWitness(a, b, math.lcm(a, b))

@@ -179,9 +179,9 @@ class Factorization(Record):
             raise ValueError("factor product does not equal value")
 
 
-def _check_natural(m: int, name: str = "m") -> None:
+def _check_natural(m: int) -> None:
     if not isinstance(m, int) or m < 1:
-        raise PreconditionError(f"{name} must be a natural number >= 1, got {m!r}")
+        raise PreconditionError(f"m must be a natural number >= 1, got {m!r}")
 
 
 def _pairs(m: int) -> Iterable[tuple[int, int]]:
@@ -245,14 +245,6 @@ def prime_support(m: int) -> frozenset[int]:
         primes.add(p)
         m //= p
     return frozenset(primes)
-
-
-def coprime_lcm(a: int, b: int) -> tuple[int, int, bool]:
-    """Return (gcd, lcm, coprime) for a, b >= 1."""
-    _check_natural(a, "a")
-    _check_natural(b, "b")
-    g = math.gcd(a, b)
-    return g, a * b // g, g == 1
 
 
 def is_prime(m: int) -> bool:

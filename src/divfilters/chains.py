@@ -14,18 +14,15 @@ contains the upward closure of a family member at or above its index.
 
 from __future__ import annotations
 
-import math
-
 from . import arith
-from .errors import BudgetExceededError, FilterConstructionError, PreconditionError
-from .filters import FilterPresentation, divides_tilde, make_filter, prime_product, principal
+from .errors import BudgetExceededError, PreconditionError
+from .filters import divides_tilde, make_filter, prime_product, principal
 from .record import Record
 from .semantics import DEFAULT_BUDGET, member
 from .setexpr import (
     Comp,
     Inter,
     Lit,
-    Mult,
     PrimesGeom,
     PrimesIdx,
     ProdSet,
@@ -35,8 +32,6 @@ from .setexpr import (
     render,
 )
 from .verdict import Verdict, refuted, unknown
-
-MAX_FACTORIAL_ARG = 500
 
 
 def ad_family(k: int, scheme: str = "residue") -> list[SetExpr]:
@@ -167,23 +162,3 @@ def _omission_verdict(
     # a witness in both the core and the target only shows that they meet,
     # not that the core lies inside the target
     return unknown(budget, witness)
-
-
-def max_approx(k: int, budget: int = DEFAULT_BUDGET) -> FilterPresentation:
-    """Finite stand-in for the top class: the filter generated by the
-    multiple-sets of 1!, 2!, ..., k!. Its core is the multiples of k!, so
-    it sits tilde-above every principal point up to k."""
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    if k > MAX_FACTORIAL_ARG:
-        raise BudgetExceededError(f"factorial argument {k} exceeds cap {MAX_FACTORIAL_ARG}")
-    gens = tuple(Mult(math.factorial(j)) for j in range(1, k + 1))
-    core: SetExpr = gens[0]
-    for g in gens[1:]:
-        core = Inter(core, g)
-    witness = math.factorial(k)
-    if not member(core, witness, budget).proved:
-        raise FilterConstructionError(
-            f"{witness} = {k}! is not a verified member of core {render(core)}"
-        )
-    return FilterPresentation(False, core, gens=gens, fip_witness=witness)

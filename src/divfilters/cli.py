@@ -23,7 +23,7 @@ import sys
 from . import arith
 from .errors import DivfiltersError, ParseError, PreconditionError
 from .semantics import DEFAULT_BUDGET, enumerate_upto, facts
-from .setexpr import NODE_CLASSES, parse_expr, render, usage
+from .setexpr import NODE_CLASSES, parse_expr, parse_natural, render, usage
 from .verdict import SCHEMA_VERSION, ProofState
 
 EXIT_PROVED = 0
@@ -84,9 +84,9 @@ def _natural(text: str) -> int:
     """The argparse type of every budget, bound and count: a natural >= 1,
     written in ASCII digits."""
     try:
-        value = int(text) if text.isascii() and text.isdigit() else 0
-    except ValueError:  # more digits than the interpreter converts
-        raise argparse.ArgumentTypeError("natural number has too many digits") from None
+        value = parse_natural(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(exc.message) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a natural >= 1, got {text!r}")
     return value

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from importlib import resources
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 from .setexpr import Lit, Mult, PrimesIdx, SetExpr, Union, Up, parse_expr
 
 from . import arith
@@ -15,7 +15,9 @@ def load_corpus(path: str | None = None) -> list[SetExpr]:
     """Expressions from a corpus file (one per line, '#' comments).
 
     Without a path, the bundled default corpus is used. A file that cannot
-    be read as UTF-8 text is a PreconditionError naming its path.
+    be read as UTF-8 text is a PreconditionError naming its path; a line
+    that does not parse is a ParseError naming the path and the line's
+    1-based number, at its offset in the line as written.
     """
     if path is None:
         text = resources.files("divfilters.data").joinpath("corpus.txt").read_text()
@@ -31,11 +33,15 @@ def load_corpus(path: str | None = None) -> list[SetExpr]:
                 f"corpus file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
             ) from None
     exprs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+    for number, line in enumerate(text.splitlines(), 1):
+        body = line.strip()
+        if not body or body.startswith("#"):
             continue
-        exprs.append(parse_expr(line))
+        try:
+            exprs.append(parse_expr(line))
+        except ParseError as exc:
+            raise ParseError(f"corpus file {path!r} line {number}: {exc.message}",
+                             exc.position) from None
     return exprs
 
 

@@ -58,6 +58,7 @@ from .setexpr import (
     Union,
     Up,
     parse_expr,
+    parse_natural,
     render,
 )
 from .verdict import Verdict, proved, refuted, three_valued_or, unknown
@@ -69,16 +70,6 @@ class FilterPresentation(Record):
 
     __slots__ = ("principal", "core", "point", "gens", "fip_witness")
     _defaults = {"point": None, "gens": (), "fip_witness": None}
-
-    def to_json(self) -> dict:
-        out = {"kind": "principal" if self.principal else "generated",
-               "core": render(self.core)}
-        if self.principal:
-            out["point"] = self.point
-        else:
-            out["generators"] = [render(g) for g in self.gens]
-        out["fip_witness"] = self.fip_witness
-        return out
 
     def spec_text(self) -> str:
         if self.principal:
@@ -175,10 +166,7 @@ def parse_filter_spec(text: str, budget: int = DEFAULT_BUDGET) -> FilterPresenta
     if text.startswith("principal:"):
         body = text[len("principal:") :]
         at = lead + len("principal:")
-        try:
-            point = int(body) if body.isascii() and body.isdigit() else 0
-        except ValueError:  # more digits than the interpreter converts
-            raise ParseError("natural number has too many digits", at) from None
+        point = parse_natural(body, at)
         if point < 1:
             raise ParseError("principal point must be a natural >= 1", at)
         return principal(point)
@@ -274,20 +262,6 @@ def d_member(
 ) -> Verdict:
     """Membership of e in the derived filter D(F) = {A : {n : nN <= A} in F}."""
     return filter_member(f, d_set(e), budget)
-
-
-def a_sub_h(e: SetExpr, h: FilterPresentation) -> SetExpr:
-    """A_H = {m : e/m in H} for a principal H at h, which is quot(e, h).
-
-    For a generated H, A_H(e) is in F exactly when e is in F*H; ask
-    product_member instead.
-    """
-    if not h.principal:
-        raise PreconditionError(
-            "a_sub_h takes a principal filter; for a generated H, "
-            "A_H(e) in F iff e in F*H, which product_member decides"
-        )
-    return Quot_of(e, h.point)
 
 
 def scale_filter(f: FilterPresentation, h: int) -> FilterPresentation:

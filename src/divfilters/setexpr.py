@@ -137,10 +137,6 @@ class Lit(SetExpr):
     __slots__ = ("elements",)
 
 
-def lit(*elements: int) -> Lit:
-    return Lit(frozenset(elements))
-
-
 class Mult(SetExpr):
     """nN = {n*m : m in N}."""
 
@@ -321,6 +317,18 @@ def render(e: SetExpr) -> str:
     return opener + ",".join(parts) + closer
 
 
+def parse_natural(text: str, at: int = 0) -> int:
+    """The value of text when it is all ASCII digits, else 0: str.isdigit()
+    also accepts digits int() refuses. A numeral past the interpreter's
+    digit limit raises ParseError at offset at, without echoing it."""
+    if not (text.isascii() and text.isdigit()):
+        return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("natural number has too many digits", at) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -347,16 +355,11 @@ class _Parser:
     def nat(self, least: int = 1) -> int:
         self.skip_ws()
         start = self.pos
-        # ASCII digits only: str.isdigit() also accepts digits int() refuses
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a natural number")
-        try:
-            value = int(self.text[start : self.pos])
-        except ValueError:  # more digits than the interpreter converts
-            self.pos = start
-            raise self.error("natural number has too many digits") from None
+        value = parse_natural(self.text[start : self.pos], start)
         if value < least:
             self.pos = start
             raise self.error("naturals start at 1")

@@ -124,13 +124,6 @@ def test_nth_prime_one_based(monkeypatch):
         arith.prime_index(1000003)
 
 
-def test_coprime_lcm():
-    g, l, coprime = arith.coprime_lcm(4, 9)
-    assert (g, l, coprime) == (1, 36, True)
-    g, l, coprime = arith.coprime_lcm(6, 10)
-    assert (g, l, coprime) == (2, 30, False)
-
-
 def test_divisors():
     assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert arith.divisors(1) == [1]

@@ -3,20 +3,11 @@ import itertools
 import pytest
 
 from divfilters.arith import DEFAULT_SIEVE_CAP, omega
-from divfilters.chains import (
-    ChainSpec,
-    ad_family,
-    build_chain,
-    max_approx,
-    verify_chain,
-)
-from divfilters import chains
-from divfilters.errors import BudgetExceededError, FilterConstructionError, PreconditionError
+from divfilters.chains import ChainSpec, ad_family, build_chain, verify_chain
+from divfilters.errors import BudgetExceededError, PreconditionError
 from divfilters.filters import divides_tilde, make_filter, principal
-from divfilters.antichain import is_n_free
 from divfilters.semantics import enumerate_upto
 from divfilters.setexpr import Lit, PrimesGeom, PrimesIdx, ProdSet, Union, Up, parse_expr
-from divfilters.verdict import unknown
 
 BUDGET = 10**4
 
@@ -119,18 +110,6 @@ def test_chain_level_law():
             assert omega(m) >= j
 
 
-def test_max_approx():
-    f = max_approx(4)
-    assert divides_tilde(principal(3), f, BUDGET).proved
-    assert max_approx(1).gens == (parse_expr("mult(1)"),)
-    v = is_n_free(max_approx(2).core, BUDGET)
-    assert v.refuted and 2 in v.certificate.covers
-    for n in range(1, 9):
-        assert divides_tilde(principal(n), max_approx(8), BUDGET).proved
-    for j in range(1, 6):
-        assert divides_tilde(max_approx(j), max_approx(6), BUDGET).proved
-
-
 def test_chain_spec_serializes():
     chain = build_chain(2, scheme="residue")
     payload = chain.to_json()
@@ -152,12 +131,6 @@ def test_omission_witness_inside_target_is_not_proved():
     pair = next(p for p in report.pairs if (p.beta, p.alpha) == (1, 1))
     assert pair.verdict.unknown and pair.verdict.certificate == 2
     assert not pair.ok and not report.passed
-
-
-def test_max_approx_rejects_unverified_witness(monkeypatch):
-    monkeypatch.setattr(chains, "member", lambda e, m, budget: unknown(budget))
-    with pytest.raises(FilterConstructionError):
-        max_approx(3)
 
 
 def test_long_chains_build_and_verify():

@@ -450,6 +450,15 @@ def test_harness_reads_a_corpus_file(capsys, tmp_path):
                    "summary: 2 pass, 0 fail, 0 skipped\n")
 
 
+def test_corpus_parse_error_names_the_file_and_line(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# c\nunion(mult(2),mult(3))\n\n  foo(3)\n", encoding="utf-8")
+    code, out, err = run(capsys, ["harness", "L5.3", "--corpus", str(corpus)])
+    assert (code, out) == (64, "")
+    assert err.startswith(f"parse error: corpus file {str(corpus)!r} line 4: "
+                          "unknown expression head 'foo' (at offset 2)\n")
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
 def test_unreadable_corpus_is_a_usage_error(capsys, tmp_path, kind):
     path = {"missing": tmp_path / "missing" / "x.txt", "directory": tmp_path,

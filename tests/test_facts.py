@@ -48,7 +48,6 @@ from divfilters.setexpr import (
     Scale,
     Union,
     Up,
-    lit,
     parse_expr,
     render,
 )
@@ -218,7 +217,7 @@ def wrapped(e, other):
     yield e
     yield from (Up(e), Down(e), Comp(e), Quot(e, 2), Quot(e, 1))
     yield from (Scale(e, 1), Scale(e, 3), PowSet(e, 1), PowSet(e, 2))
-    for x, y in ((e, other), (other, e), (e, P), (P, e), (e, lit(2, 3))):
+    for x, y in ((e, other), (other, e), (e, P), (P, e), (e, Lit(frozenset({2, 3})))):
         yield from (Union(x, y), Inter(x, y), ProdSet((x, y)))
     yield ProdSet((e, P, other))
 
@@ -248,7 +247,7 @@ def test_explicit_sets():
 def test_undecided_primality_is_no_rule():
     # 1000036000099 = 1000003 * 1000033: both factors pass the 10^6 sieve cap
     big = 1000036000099
-    assert not facts(lit(big)).primes
+    assert not facts(Lit(frozenset({big}))).primes
     e = parse_expr(f"union({{{big}}},mult(2))")
     assert facts(e).cover == {2, big}
     # the answers the separate chains gave, which never asked its primality
@@ -267,8 +266,8 @@ def test_big_literal_leaves_the_sieve_small():
     script = (
         "from divfilters import arith\n"
         "from divfilters.semantics import is_upward_closed\n"
-        "from divfilters.setexpr import lit\n"
-        "is_upward_closed(lit(1000036000099), 10**4)\n"
+        "from divfilters.setexpr import Lit\n"
+        "is_upward_closed(Lit(frozenset({1000036000099})), 10**4)\n"
         "print(arith._SIEVE.limit)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

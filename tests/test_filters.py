@@ -5,7 +5,6 @@ from oracle import oracle_set
 from divfilters import default_filters, load_corpus
 from divfilters.errors import FilterConstructionError, ParseError, PreconditionError
 from divfilters.filters import (
-    a_sub_h,
     d_member,
     d_set,
     divides_tilde,
@@ -133,32 +132,6 @@ def test_d_member_examples():
     assert v.refuted
     # an upward-closed member of the filter is in D(F)
     assert d_member(principal(6), Mult(2), BUDGET).proved
-
-
-def test_a_sub_h_examples():
-    pred = a_sub_h(Mult(6), principal(2))
-    for m in range(1, 300):
-        assert member(pred, m, BUDGET).proved == (m % 3 == 0)
-    e = parse_expr("up({4,9})")
-    pred = a_sub_h(e, principal(1))
-    for m in range(1, 300):
-        assert member(pred, m, BUDGET).proved == member(e, m, BUDGET).proved
-    pred = a_sub_h(Up(Lit(frozenset({4}))), principal(2))
-    for m in range(1, 300):
-        assert member(pred, m, BUDGET).proved == (m % 2 == 0)
-
-
-def test_a_sub_h_upward_closed_when_host_is():
-    pred = a_sub_h(Mult(6), principal(2))
-    for m in (3, 6, 9):
-        for k in range(2, 21):
-            if member(pred, m, BUDGET).proved:
-                assert member(pred, k * m, BUDGET).proved
-
-
-def test_a_sub_h_rejects_a_generated_filter():
-    with pytest.raises(PreconditionError, match="product_member"):
-        a_sub_h(Mult(6), make_filter([Mult(2)]))
 
 
 def _reference_d_state(e, n, b):

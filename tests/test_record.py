@@ -99,9 +99,6 @@ def test_filter_presentation_values():
                                    gens=(Mult(2), Mult(3)), fip_witness=6)
     assert repr(p) == "FilterPresentation(principal:6)"
     assert repr(g) == "FilterPresentation(gen:[mult(2);mult(3)])"
-    assert p.to_json() == {"kind": "principal", "core": "{6}", "point": 6, "fip_witness": 6}
-    assert g.to_json() == {"kind": "generated", "core": "inter(mult(2),mult(3))",
-                           "generators": ["mult(2)", "mult(3)"], "fip_witness": 6}
     scaled = scale_filter(make_filter([Mult(2)]), 3)
     assert scaled._values() == (False, Scale(Mult(2), 3), None,
                                 (Scale(Mult(2), 3),), 6)

@@ -16,23 +16,23 @@ import divfilters
 
 # every name `import divfilters` exported when it imported all its modules
 EXPORTED = [
-    "Factorization", "coprime_lcm", "divisors", "factorize", "is_prime", "nth_prime",
-    "omega", "prime_index", "primes_upto",
+    "Factorization", "divisors", "factorize", "is_prime", "nth_prime", "omega",
+    "prime_index", "primes_upto",
     "BudgetExceededError", "DivfiltersError", "FilterConstructionError",
     "IncompleteEnumerationError", "ParseError", "PreconditionError",
     "ProofState", "Verdict", "proved", "refuted", "unknown",
     "EMPTY", "FACTORIALS", "N", "P", "Comp", "Down", "Empty", "Factorials", "Inter",
     "Level", "Lit", "Mult", "Nat", "PowSet", "Primes", "PrimesGeom", "PrimesIdx",
-    "ProdSet", "Quot", "Scale", "SetExpr", "Union", "Up", "lit", "parse_expr", "render",
+    "ProdSet", "Quot", "Scale", "SetExpr", "Union", "Up", "parse_expr", "render",
     "enumerate_upto", "is_infinite", "is_upward_closed", "member",
     "quotient_case_rule", "structurally_subset",
     "AntichainCertificate", "CoveringCertificate", "covering_witness",
     "extend_antichain", "find_antichain_of_size", "is_n_free", "lcm_extension",
     "max_strong_antichain",
-    "FilterPresentation", "a_sub_h", "d_member", "divides_tilde", "filter_member",
+    "FilterPresentation", "d_member", "divides_tilde", "filter_member",
     "interpolation_check", "make_filter", "parse_filter_spec", "principal",
     "product_member", "scale_filter",
-    "ChainSpec", "ad_family", "build_chain", "max_approx", "verify_chain",
+    "ChainSpec", "ad_family", "build_chain", "verify_chain",
     "default_filters", "load_corpus", "random_expressions",
     "LEMMA_IDS", "HarnessCase", "HarnessParams", "HarnessReport", "run_harness",
 ]
