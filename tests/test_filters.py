@@ -134,6 +134,28 @@ def test_d_member_examples():
     assert d_member(principal(6), Mult(2), BUDGET).proved
 
 
+def test_a_sub_h_examples():
+    # A_H(e) = {m : e/m in H} for a principal H at h is quot(e,h)
+    pred = parse_expr("quot(mult(6),2)")
+    for m in range(1, 300):
+        assert member(pred, m, BUDGET).proved == (m % 3 == 0)
+    e = parse_expr("up({4,9})")
+    pred = parse_expr("quot(up({4,9}),1)")
+    for m in range(1, 300):
+        assert member(pred, m, BUDGET).proved == member(e, m, BUDGET).proved
+    pred = parse_expr("quot(up({4}),2)")
+    for m in range(1, 300):
+        assert member(pred, m, BUDGET).proved == (m % 2 == 0)
+
+
+def test_a_sub_h_upward_closed_when_host_is():
+    pred = parse_expr("quot(mult(6),2)")
+    for m in (3, 6, 9):
+        for k in range(2, 21):
+            if member(pred, m, BUDGET).proved:
+                assert member(pred, k * m, BUDGET).proved
+
+
 def _reference_d_state(e, n, b):
     """The reference state of n in {m : mN <= e}: decided by rule for mult
     and for upward-closed sets, else by a search of the multiples of n up
