@@ -349,7 +349,7 @@ def is_n_free(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
         cert = CoveringCertificate(shape.cover, e, budget, structural=True)
         return refuted(budget, cert)
     if shape.antichain:
-        sample = find_antichain_of_size(e, 4, min(budget, 10**4))
+        sample = find_antichain_of_size(e, 4, min(budget, 10**4), budget)
         cert = {
             "rule": "infinite-antichain",
             "sample": list(sample.witness) if sample else [],

@@ -41,7 +41,7 @@ import math
 import threading
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from itertools import compress, islice
+from itertools import compress, islice, starmap
 
 from .errors import BudgetExceededError, PreconditionError
 from .record import Record
@@ -170,13 +170,9 @@ class Factorization(Record):
     """
 
     __slots__ = ("value", "factors")
-
-    def _check(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != self.value:
-            raise ValueError("factor product does not equal value")
+    _guards = (("math.prod(starmap(pow, factors)) == value",
+                "factor product does not equal value"),)
+    _error = ValueError
 
 
 def _check_natural(m: int) -> None:

@@ -15,15 +15,16 @@ def load_corpus(path: str | None = None) -> list[SetExpr]:
     """Expressions from a corpus file (one per line, '#' comments).
 
     Without a path, the bundled default corpus is used. A file that cannot
-    be read as UTF-8 text is a PreconditionError naming its path; a line
-    that does not parse is a ParseError naming the path and the line's
-    1-based number, at its offset in the line as written.
+    be read as UTF-8 text (a leading byte-order mark is skipped) is a
+    PreconditionError naming its path; a line that does not parse is a
+    ParseError naming the path and the line's 1-based number, at its offset
+    in the line as written.
     """
     if path is None:
         text = resources.files("divfilters.data").joinpath("corpus.txt").read_text()
     else:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             raise PreconditionError(

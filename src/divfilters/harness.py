@@ -131,12 +131,9 @@ class HarnessParams(Record):
     __slots__ = ("bound", "budget", "seed", "corpus", "k")
     _defaults = {"bound": None, "budget": DEFAULT_BUDGET, "seed": 0,
                  "corpus": None, "k": None}
-
-    def _check(self) -> None:
-        for name in ("bound", "budget", "k"):
-            value = getattr(self, name)
-            if (value is None and name == "budget") or (value is not None and value < 1):
-                raise PreconditionError(f"harness {name} must be a natural >= 1")
+    _guards = (("bound is None or bound >= 1", "harness bound must be a natural >= 1"),
+               ("budget is not None and budget >= 1", "harness budget must be a natural >= 1"),
+               ("k is None or k >= 1", "harness k must be a natural >= 1"))
 
     def expressions(self) -> list[SetExpr]:
         exprs = self.corpus if self.corpus is not None else load_corpus()

@@ -23,8 +23,10 @@ its fields in order, and `sig`, one argument kind per field: "e" an
 expression, "n" a natural >= 1, "z" a natural >= 0. A "+" after the last
 kind means one or more, held in a tuple of expressions or a frozenset of
 naturals. render, children, map_children, the parser, usage and the field
-check on construction read only that declaration; a class adds its own
-_check only for a condition across fields.
+check on construction read only that declaration: each kind but "e" adds
+its conditions, such as type(n) is int and n >= 1, to the record _guards
+that __init__ tests, ahead of any the class lists itself for a condition
+across fields, such as r <= m.
 
 Nodes are plain slotted classes built from the same declaration (see
 record.Record): construction takes the fields in order, assignment raises
@@ -44,7 +46,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError, PreconditionError
-from .record import Record
+from .record import Record, own_fields
 
 MAX_DEPTH = 200
 
@@ -53,17 +55,17 @@ NODE_CLASSES: list[type[SetExpr]] = []
 # (field, kind) pairs of each node class, read from its sig: "e", "n" or
 # "z", or "e+" and "n+" for a repeated last kind
 _ARGS: dict[type[SetExpr], tuple[tuple[str, str], ...]] = {}
-# what a field of each kind but "e" must hold, as tests in turn and in
-# words; type(x) is int refuses a bool, and a repeated field's container
-# must be hashable, as every memo keyed by expressions hashes the node
-_FIELD_KINDS = {
-    "n": ((lambda x: type(x) is int and x >= 1, "a natural >= 1"),),
-    "z": ((lambda x: type(x) is int and x >= 0, "a natural >= 0"),),
-    "n+": ((lambda xs: isinstance(xs, frozenset), "a frozenset"),
-           (lambda xs: bool(xs) and all(type(x) is int and x >= 1 for x in xs),
-            "one or more naturals >= 1")),
-    "e+": ((lambda xs: isinstance(xs, tuple), "a tuple"),
-           (bool, "one or more expressions")),
+# what a field of each kind must hold, as conditions over the field's name
+# ({0}) in turn and in words; type(x) is int refuses a bool, and a repeated
+# field's container must be hashable, as every memo keyed by expressions
+# hashes the node
+_KIND_GUARDS = {
+    "e": (),
+    "n": (("type({0}) is int and {0} >= 1", "a natural >= 1"),),
+    "z": (("type({0}) is int and {0} >= 0", "a natural >= 0"),),
+    "n+": (("isinstance({0}, frozenset)", "a frozenset"),
+           ("{0} and all(type(x) is int and x >= 1 for x in {0})", "one or more naturals >= 1")),
+    "e+": (("isinstance({0}, tuple)", "a tuple"), ("{0}", "one or more expressions")),
 }
 
 
@@ -75,22 +77,14 @@ class SetExpr(Record):
     sig = ""
 
     def __init_subclass__(cls, **kwargs):
-        kinds = re.findall(r".\+?", cls.sig)
-        tests = [(i, *test) for i, kind in enumerate(kinds) if kind != "e"
-                 for test in _FIELD_KINDS[kind]]
-        cross_check = cls.__dict__.get("_check")  # the class's own condition across fields
-
-        def _check(self):
-            for i, test, words in tests:
-                if not test(getattr(self, cls._fields[i])):
-                    raise PreconditionError(f"{cls.__name__} {cls._fields[i]} must be {words}")
-            if cross_check:
-                cross_check(self)
-
-        if tests:  # before Record compiles __init__, which calls _check if a class has one
-            cls._check = _check
+        args = tuple(zip(own_fields(cls), re.findall(r".\+?", cls.sig)))
+        # the kinds' conditions come ahead of the class's own, across fields
+        cls._guards = tuple((condition.format(name), f"{cls.__name__} {name} must be {words}")
+                            for name, kind in args
+                            for condition, words in _KIND_GUARDS[kind]
+                            ) + cls.__dict__.get("_guards", ())
         super().__init_subclass__(**kwargs)
-        _ARGS[cls] = tuple(zip(cls._fields, kinds))
+        _ARGS[cls] = args
         NODE_CLASSES.append(cls)
 
     def __hash__(self):
@@ -156,10 +150,7 @@ class PrimesIdx(SetExpr):
 
     head, sig = "primesIdx", "nn"
     __slots__ = ("r", "m")
-
-    def _check(self):
-        if self.r > self.m:
-            raise PreconditionError("primesIdx requires 1 <= r <= m")
+    _guards = (("r <= m", "primesIdx requires 1 <= r <= m"),)
 
 
 class PrimesGeom(SetExpr):
@@ -167,10 +158,7 @@ class PrimesGeom(SetExpr):
 
     head, sig = "primesGeom", "nn"
     __slots__ = ("c", "q")
-
-    def _check(self):
-        if self.q < 2:
-            raise PreconditionError("primesGeom requires c >= 1 and q >= 2")
+    _guards = (("q >= 2", "primesGeom requires c >= 1 and q >= 2"),)
 
 
 class PowSet(SetExpr):

@@ -117,6 +117,17 @@ def test_is_n_free_examples():
     assert is_n_free(parse_expr("comp(mult(2))"), BUDGET).unknown
 
 
+@pytest.mark.parametrize("budget", [50, 300, BUDGET])
+def test_nfree_sample_is_proved_at_the_callers_budget(budget):
+    # the least member of up(primesIdx(26,100)) is 101, the 26th prime, so
+    # proving 1, 2 or 3 in its down-closure takes a multiple of 101
+    for e in load_corpus() + [parse_expr("down(up(primesIdx(26,100)))")]:
+        v = is_n_free(e, budget)
+        if v.proved:
+            for x in v.certificate["sample"]:
+                assert member(e, x, budget).proved, (render(e), x)
+
+
 def test_nfree_duality_on_proved_cases():
     for text in ("P", "primesIdx(1,4)", "pow(P,2)", "up(primesIdx(1,2))"):
         e = parse_expr(text)

@@ -450,6 +450,15 @@ def test_harness_reads_a_corpus_file(capsys, tmp_path):
                    "summary: 2 pass, 0 fail, 0 skipped\n")
 
 
+def test_corpus_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(b"mult(2)\n")
+    marked.write_bytes(b"\xef\xbb\xbfmult(2)\n")
+    want = run(capsys, ["harness", "L5.3", "--corpus", str(plain)])
+    assert want[0] == 0
+    assert run(capsys, ["harness", "L5.3", "--corpus", str(marked)]) == want
+
+
 def test_corpus_parse_error_names_the_file_and_line(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# c\nunion(mult(2),mult(3))\n\n  foo(3)\n", encoding="utf-8")

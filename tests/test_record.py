@@ -31,7 +31,7 @@ def test_factorization_fields_equality_and_repr():
     assert f != factorize(180) and f != (360, f.factors)
     assert repr(f) == "Factorization(value=360, factors=((2, 3), (3, 2), (5, 1)))"
     assert pickle.loads(pickle.dumps(f)) == f
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="factor product does not equal value"):
         Factorization(12, ((2, 3),))
     with pytest.raises(AttributeError):
         f.value = 1

@@ -1,12 +1,13 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divfilters import load_corpus
 from divfilters.errors import ParseError, PreconditionError
-from divfilters.record import Record
 from divfilters.semantics import (
     evaluate_range,
     is_upward_closed,
@@ -227,11 +228,74 @@ def test_fields_outside_the_sig_are_refused(build, args, message):
 
 def test_only_nodes_with_a_field_to_check_run_a_check():
     # a node whose fields are all single expressions, or that has none,
-    # is built without a _check call
-    unchecked = {cls for cls in NODE_CLASSES if cls._check is Record._check}
+    # is built by an __init__ with no guard in it
+    unchecked = {cls for cls in NODE_CLASSES if not cls._guards}
     assert unchecked == {cls for cls in NODE_CLASSES if not set(cls.sig) - {"e"}}
     assert {cls.head for cls in unchecked} == {
         "N", "P", "empty", "factorials", "comp", "union", "inter", "up", "down"}
+
+
+# The field tests the node classes ran, as functions, before they were
+# compiled into __init__: the reference the guards must agree with. Each
+# kind's tests in turn, then the class's own test across its fields.
+_REFERENCE_KINDS = {
+    "n": ((lambda x: type(x) is int and x >= 1, "a natural >= 1"),),
+    "z": ((lambda x: type(x) is int and x >= 0, "a natural >= 0"),),
+    "n+": ((lambda xs: isinstance(xs, frozenset), "a frozenset"),
+           (lambda xs: bool(xs) and all(type(x) is int and x >= 1 for x in xs),
+            "one or more naturals >= 1")),
+    "e+": ((lambda xs: isinstance(xs, tuple), "a tuple"),
+           (bool, "one or more expressions")),
+}
+_REFERENCE_ACROSS = {
+    PrimesIdx: (lambda r, m: r <= m, "primesIdx requires 1 <= r <= m"),
+    PrimesGeom: (lambda c, q: q >= 2, "primesGeom requires c >= 1 and q >= 2"),
+}
+
+
+def _reference_refusal(cls, values):
+    """The message the reference refuses values with, or None if it accepts them."""
+    for name, kind, value in zip(cls._fields, re.findall(r".\+?", cls.sig), values):
+        for test, words in _REFERENCE_KINDS.get(kind, ()):
+            if not test(value):
+                return f"{cls.__name__} {name} must be {words}"
+    if cls in _REFERENCE_ACROSS:
+        test, message = _REFERENCE_ACROSS[cls]
+        if not test(*values):
+            return message
+    return None
+
+
+# a value that fits each kind, and values of every sort
+_FITS = {"e": st.sampled_from([N, P]), "n": st.integers(1, 12), "z": st.integers(0, 12),
+         "n+": st.frozensets(st.integers(1, 12), min_size=1, max_size=3),
+         "e+": st.lists(st.sampled_from([N, P]), min_size=1, max_size=3).map(tuple)}
+_scalars = st.one_of(st.integers(-1, 12), st.sampled_from([0, -1, True, False]),
+                     st.floats(), st.text(max_size=2))
+_any_value = st.one_of(
+    _scalars, st.sets(_scalars, max_size=3), st.frozensets(_scalars, max_size=3),
+    st.lists(_scalars, max_size=3), st.lists(_scalars, max_size=3).map(tuple))
+
+
+def _drawn_fields(cls):
+    # each field fits its kind half the time, so that every class is also built
+    return st.tuples(*(
+        st.booleans().flatmap(lambda fits, kind=kind: _FITS[kind] if fits else _any_value)
+        for kind in re.findall(r".\+?", cls.sig)))
+
+
+@given(st.sampled_from(NODE_CLASSES).flatmap(
+    lambda cls: st.tuples(st.just(cls), _drawn_fields(cls))))
+@settings(max_examples=500, deadline=None)
+def test_guards_refuse_what_the_reference_refuses(drawn):
+    cls, values = drawn
+    message = _reference_refusal(cls, values)
+    if message is None:
+        assert cls(*values)._values() == values
+    else:
+        with pytest.raises(PreconditionError) as exc:
+            cls(*values)
+        assert str(exc.value) == message
 
 
 def test_nodes_survive_copy_and_pickle():
