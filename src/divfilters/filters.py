@@ -16,7 +16,15 @@ e itself when e is upward closed. For a principal H at h, the set A_H(e) =
 
 The syntactic facts these operations consult (upward closed, a prime set,
 the elements of an explicit core) come from semantics.facts. The bounded
-searches run on semantics.scan.
+searches run on semantics.scan. filter_member walks the core with scan and
+reads its target only at the core's Proved members, from one
+evaluate_range per window [1..w], w = 64 growing fourfold and at least the
+member asked about, up to the budget or the sieve cap; it asks member
+instead past the cap, for a target with a down node at a budget past the
+cap (scan's rule), and once a range of the target has raised
+BudgetExceededError. A scan of inter(core,comp(e)) would be shorter but
+evaluates e where the core is Unknown, and there e can raise past the cap
+where this walk answers.
 
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
@@ -29,12 +37,18 @@ import math
 from itertools import count, takewhile
 
 from . import arith
-from .errors import FilterConstructionError, ParseError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    FilterConstructionError,
+    ParseError,
+    PreconditionError,
+)
 from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
     enumerate_upto,
+    evaluate_range,
     facts,
     member,
     scan,
@@ -57,6 +71,7 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
+    contains_down,
     parse_expr,
     parse_natural,
     render,
@@ -189,13 +204,30 @@ def filter_member(
     f: FilterPresentation, e: SetExpr, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Does the set denoted by e belong to the filter? (e belongs iff it
-    contains the core.) A refutation names the least core member e refutes."""
+    contains the core.) A refutation names the least core member e refutes.
+    e is read at the core's Proved members only, by the window rule of the
+    module docstring."""
     if f.principal:
         return member(e, f.point, budget)
     if structurally_subset(f.core, e, budget):
         return proved(budget, "structural")
+    cap = arith.DEFAULT_SIEVE_CAP
+    cap = 0 if budget > cap and contains_down(e) else min(budget, cap)
+    window = 0
     for b, is_proved in scan(f.core, budget, budget):
-        if is_proved and member(e, b, budget).refuted:
+        if not is_proved:
+            continue
+        if window < b <= cap:
+            window = min(max(4 * window, 64, b), cap)
+            try:
+                e_proved, e_unknown = evaluate_range(e, window, budget)
+            except BudgetExceededError:
+                cap = 0
+        if b <= cap:
+            refutes = not (e_proved[b] or e_unknown[b])
+        else:
+            refutes = member(e, b, budget).refuted
+        if refutes:
             return refuted(budget, b)
     return unknown(budget)
 

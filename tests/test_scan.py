@@ -4,8 +4,12 @@ they replaced, kept here as the references.
 make_filter's fallback, filter_member (and through it divides_tilde,
 d_member and product_member) and extend_antichain run on semantics.scan;
 each must give the answer, certificate and error of its old pointwise
-loop. The prime walk now shared by the min member and the chain omission
-witness, and the coprime greedy shared by is_n_free and
+loop. filter_member also reads its target from one evaluate_range per scan
+window, so its targets include ones whose range takes _range's fallbacks
+(a quot past the sieve cap, a down node, a prodset of three arguments) or
+raises, and a count of member evaluations pins that the range path is the
+one taken. The prime walk now shared by the min member and the chain
+omission witness, and the coprime greedy shared by is_n_free and
 find_antichain_of_size, must pick what each copy picked.
 """
 
@@ -18,19 +22,42 @@ from pathlib import Path
 import pytest
 
 import divfilters
-from divfilters import arith, default_filters, filters, load_corpus
+from divfilters import arith, default_filters, filters, load_corpus, semantics
 from divfilters.antichain import extend_antichain, find_antichain_of_size, is_n_free
 from divfilters.chains import build_chain, verify_chain
-from divfilters.errors import FilterConstructionError, IncompleteEnumerationError
+from divfilters.errors import (
+    BudgetExceededError,
+    FilterConstructionError,
+    IncompleteEnumerationError,
+)
 from divfilters.filters import (
+    FilterPresentation,
     d_member,
     divides_tilde,
     filter_member,
     make_filter,
     product_member,
 )
-from divfilters.semantics import DEFAULT_BUDGET, facts, member, structurally_subset
-from divfilters.setexpr import Inter, PowSet, ProdSet, Scale, Up, parse_expr, render
+from divfilters.harness import run_harness
+from divfilters.semantics import (
+    DEFAULT_BUDGET,
+    evaluate_range,
+    facts,
+    member,
+    structurally_subset,
+)
+from divfilters.setexpr import (
+    Inter,
+    Lit,
+    Mult,
+    PowSet,
+    ProdSet,
+    Quot,
+    Scale,
+    Up,
+    parse_expr,
+    render,
+)
 from divfilters.verdict import proved, refuted, unknown
 
 CORPUS = load_corpus()
@@ -180,7 +207,7 @@ def _filter_answers(budget):
     answers = []
     for f in FILTERS:
         for e in CORPUS:
-            answers.append(filter_member(f, e, budget))
+            answers.append(filters.filter_member(f, e, budget))
             answers.append(d_member(f, e, budget))
         for g in FILTERS:
             answers.append(divides_tilde(f, g, budget))
@@ -201,6 +228,123 @@ def test_filter_scans_equal_reference(budget, monkeypatch):
     for a, b in zip(found, expected):
         assert _same_verdict(a, b), (a, b)
     assert len({v.state for v in found}) == 3
+
+
+# targets whose range takes a fallback of _range: each reaches filter_member
+# as a quot past the sieve cap (through a principal factor at 1009), a down
+# node (d_set of a set that is not upward closed), or a prodset of three
+# arguments
+QUOT_TARGETS = [parse_expr(t) for t in ("comp({5})", "comp({2018000})", "mult(3)")]
+DOWN_TARGETS = [parse_expr(t) for t in ("level(2)", "primesIdx(1,2)", "comp({4})")]
+PRODSET_TARGETS = [parse_expr(t) for t in ("prodset(P,P,P)", "prodset(mult(2),primesIdx(2,2),P)")]
+
+
+def _fallback_answers(budget):
+    at_1009 = filters.principal(1009)
+    answers = []
+    for f in FILTERS:
+        answers.extend(product_member(at_1009, f, e, budget) for e in QUOT_TARGETS)
+        answers.extend(d_member(f, e, budget) for e in DOWN_TARGETS)
+        answers.extend(filters.filter_member(f, e, budget) for e in PRODSET_TARGETS)
+    return answers
+
+
+@pytest.mark.parametrize("budget", (300, 10**4))
+def test_fallback_targets_equal_reference(budget, monkeypatch):
+    found = _fallback_answers(budget)
+    monkeypatch.setattr(filters, "filter_member", _reference_filter_member)
+    expected = _fallback_answers(budget)
+    for a, b in zip(found, expected, strict=True):
+        assert _same_verdict(a, b), (a, b)
+    assert len({v.state for v in found}) == 3
+
+
+def _windows_read(monkeypatch, f, e, budget):
+    """The windows filter_member reads e over, and its verdict."""
+    windows = []
+
+    def recording(e, limit, budget):
+        windows.append(limit)
+        return evaluate_range(e, limit, budget)
+
+    monkeypatch.setattr(filters, "evaluate_range", recording)
+    return windows, filters.filter_member(f, e, budget)
+
+
+def test_target_windows_grow_fourfold_from_64_and_reach_the_member(monkeypatch):
+    g = make_filter([Mult(2), Mult(3)])
+    windows, v = _windows_read(monkeypatch, g, Up(Mult(6)), 10**4)
+    assert (windows, v.unknown) == ([64, 256, 1024, 4096, 10**4], True)
+    f = make_filter([Lit(frozenset({100, 5000}))])
+    windows, v = _windows_read(monkeypatch, f, Mult(7), 10**4)
+    assert (windows, v.certificate) == ([100], 100)
+    windows, v = _windows_read(monkeypatch, f, parse_expr("comp({5000})"), 10**4)
+    assert (windows, v.certificate) == ([100, 5000], 5000)
+    windows, v = _windows_read(monkeypatch, f, parse_expr("comp(down(factorials))"), 10**4)
+    assert (windows, v.unknown) == ([100, 5000], True)
+
+
+def test_target_past_the_sieve_cap_is_asked_pointwise(monkeypatch):
+    budget = 1_000_100
+    f = make_filter([Lit(frozenset({1_000_050}))], budget)
+    windows, v = _windows_read(monkeypatch, f, Mult(7), budget)
+    assert windows == []
+    assert _same_verdict(v, refuted(budget, 1_000_050))
+    # scan's rule: a target with a down node at a budget past the cap
+    budget = 2 * 10**6
+    f = make_filter([Mult(6)], budget)
+    windows, v = _windows_read(monkeypatch, f, filters.d_set(parse_expr("level(2)")), budget)
+    assert windows == []
+    assert _same_verdict(v, refuted(budget, 6))
+
+
+def test_hand_built_core_past_the_cap_never_reads_its_target():
+    # The core is Proved nowhere, so the target is never evaluated. A scan
+    # of inter(core,comp(e)) evaluates e where the core is Unknown and
+    # raises at prime_index(1000003).
+    budget = 1_000_100
+    core = parse_expr("comp(down(factorials))")
+    f = FilterPresentation(False, core, gens=(core,))
+    got = filter_member(f, parse_expr("primesIdx(1,2)"), budget)
+    assert _same_verdict(got, unknown(budget))
+
+
+def test_a_target_range_that_raises_falls_back_to_member():
+    e = parse_expr("primesIdx(1,2)")
+    with pytest.raises(BudgetExceededError, match="exceeds sieve cap"):
+        evaluate_range(Quot(e, 1000003), 64, DEFAULT_BUDGET)
+    # member at 2 asks about 2000006, which is even and so no prime
+    f = make_filter([Mult(2)])
+    got = product_member(filters.principal(1000003), f, e)
+    assert _same_verdict(got, refuted(DEFAULT_BUDGET, 2))
+    assert _same_verdict(got, _reference_filter_member(f, Quot(e, 1000003), DEFAULT_BUDGET))
+
+
+def _member_calls(monkeypatch, fn, *args):
+    calls = 0
+    real = semantics._member
+
+    def counting(e, m, budget):
+        nonlocal calls
+        calls += 1
+        return real(e, m, budget)
+
+    monkeypatch.setattr(semantics, "_member", counting)
+    fn(*args)
+    monkeypatch.setattr(semantics, "_member", real)
+    return calls
+
+
+def test_filter_member_reads_its_target_by_range(monkeypatch):
+    # counts of member evaluations when filter_member asked member at each
+    # Proved core member: 77,401 for T5.4ii, 1,668 or 17,828 for each of the
+    # Unknown divides_tilde full scans among the default filters
+    assert _member_calls(monkeypatch, run_harness, ["T5.4ii"]) < 5_000
+    full_scans = [(f, g) for f in FILTERS for g in FILTERS
+                  if divides_tilde(f, g, DEFAULT_BUDGET).unknown]
+    assert len(full_scans) == 3
+    for f, g in full_scans:
+        assert _member_calls(monkeypatch, divides_tilde, f, g, DEFAULT_BUDGET) < 100
 
 
 # --- antichain ----------------------------------------------------------------
