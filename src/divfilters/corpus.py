@@ -6,7 +6,7 @@ import random
 from importlib import resources
 
 from .errors import ParseError, PreconditionError
-from .setexpr import Lit, Mult, PrimesIdx, SetExpr, Union, Up, parse_expr
+from .setexpr import Lit, Mult, PrimesIdx, ProdSet, SetExpr, Union, Up, parse_expr
 
 from . import arith
 
@@ -49,7 +49,6 @@ def load_corpus(path: str | None = None) -> list[SetExpr]:
 def default_filters() -> list:
     """Documented filter corpus used by the harness and acceptance suite."""
     from .filters import make_filter, principal
-    from .setexpr import PrimesIdx, ProdSet
 
     return [
         principal(1),

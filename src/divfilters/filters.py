@@ -19,12 +19,11 @@ the elements of an explicit core) come from semantics.facts. The bounded
 searches run on semantics.scan. filter_member walks the core with scan and
 reads its target only at the core's Proved members, from one
 evaluate_range per window [1..w], w = 64 growing fourfold and at least the
-member asked about, up to the budget or the sieve cap; it asks member
-instead past the cap, for a target with a down node at a budget past the
-cap (scan's rule), and once a range of the target has raised
-BudgetExceededError. A scan of inter(core,comp(e)) would be shorter but
-evaluates e where the core is Unknown, and there e can raise past the cap
-where this walk answers.
+member asked about, up to the budget, as long as semantics.in_bulk says
+that range asks member nothing; from the first window where it would, the
+walk asks member at each Proved core member instead. A scan of
+inter(core,comp(e)) would be shorter but evaluates e where the core is
+Unknown, and there e can raise past the cap where this walk answers.
 
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
@@ -37,12 +36,7 @@ import math
 from itertools import count, takewhile
 
 from . import arith
-from .errors import (
-    BudgetExceededError,
-    FilterConstructionError,
-    ParseError,
-    PreconditionError,
-)
+from .errors import FilterConstructionError, ParseError, PreconditionError
 from .record import Record
 from .semantics import (
     DEFAULT_BUDGET,
@@ -50,6 +44,7 @@ from .semantics import (
     enumerate_upto,
     evaluate_range,
     facts,
+    in_bulk,
     member,
     scan,
     structurally_subset,
@@ -71,7 +66,6 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
-    contains_down,
     parse_expr,
     parse_natural,
     render,
@@ -211,19 +205,17 @@ def filter_member(
         return member(e, f.point, budget)
     if structurally_subset(f.core, e, budget):
         return proved(budget, "structural")
-    cap = arith.DEFAULT_SIEVE_CAP
-    cap = 0 if budget > cap and contains_down(e) else min(budget, cap)
     window = 0
     for b, is_proved in scan(f.core, budget, budget):
         if not is_proved:
             continue
-        if window < b <= cap:
-            window = min(max(4 * window, 64, b), cap)
-            try:
+        if b > window:
+            window = min(max(4 * window, 64, b), budget)
+            # False stays False as the window grows: member to the end
+            bulk = in_bulk(e, window, budget)
+            if bulk:
                 e_proved, e_unknown = evaluate_range(e, window, budget)
-            except BudgetExceededError:
-                cap = 0
-        if b <= cap:
+        if bulk:
             refutes = not (e_proved[b] or e_unknown[b])
         else:
             refutes = member(e, b, budget).refuted

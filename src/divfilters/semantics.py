@@ -31,17 +31,23 @@ To add a node class: declare it in setexpr, syntax included (the only
 syntax edit; its sig also gives its field checks), as a final class, since
 every lookup is by exact type; write a handler _member_<name>(e, m,
 budget) and add the pair to _HANDLERS; add a rule to facts() and a branch
-to _range. A class missing from any of the three raises TypeError there.
+to _range. A class missing from any of the three raises TypeError there. A
+branch that ranges a child past the node's own limit needs a rule in
+in_bulk too.
 
 member() is the reference semantics. evaluate_range() gives the same states
 for every m in [1..L] at once, node by node over whole ranges. It falls back
-to member() for each m, over the range of that node, in two cases: a
-prodset node of three or more arguments, and any node whose range would
-pass the sieve cap (a quot node reaches L*n, a down node over a set that is
-not explicit reaches the budget). A prodset of two arguments is the set of
-products x*y <= L of a Proved x in one and y in the other, x != y, built by
-strided ORs from the two ranges; its Unknown states follow the search order
-of _prodset_member.
+to member() for each m, over the range of that node, in two cases
+(_falls_back): a prodset node of three or more arguments, and any node
+whose range would pass the sieve cap (a quot node reaches L*n, a down node
+over a set that is not explicit reaches the budget). in_bulk(e, L, budget)
+says whether no node of e takes that fallback, so that evaluate_range asks
+member nothing; it judges each child at the limit _range gives it, or at
+its parent's where that is larger. A prodset of two arguments is the set
+of products x*y <= L of a Proved x in one and y in the other, x != y, built
+by strided ORs from the two ranges; its Unknown states follow the search
+order of _prodset_member. A range too large to allocate raises
+BudgetExceededError.
 
 evaluate_range backs the dense bounded scans: enumerate_upto and
 is_infinite over [1..L], is_upward_closed and scan() over windows [1..w],
@@ -59,7 +65,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 
 from . import arith
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
 from .setexpr import (
     EMPTY as EMPTY_SINGLETON,
     N as NAT_SINGLETON,
@@ -82,6 +88,7 @@ from .setexpr import (
     SetExpr,
     Union,
     Up,
+    children,
     contains_down,
     map_children,
 )
@@ -532,6 +539,15 @@ def evaluate_range(
     return _range(e, limit, budget)
 
 
+def _zeros(limit: int) -> bytearray:
+    """limit + 1 zero bytes, the one way a range array is allocated: a
+    range too large to hold raises BudgetExceededError."""
+    try:
+        return bytearray(limit + 1)
+    except (MemoryError, OverflowError):
+        raise BudgetExceededError(f"a range of {limit} points does not fit in memory") from None
+
+
 def _bits(a: bytearray) -> int:
     return int.from_bytes(a, "little")
 
@@ -549,7 +565,7 @@ def _multiples(sources: bytearray, covered: bytearray | None = None) -> bytearra
     """Every multiple of each d with sources[d] == 1. A d whose multiples
     are all marked already, or all lie in `covered`, is skipped."""
     limit = len(sources) - 1
-    out = bytearray(limit + 1)
+    out = _zeros(limit)
     d = sources.find(1)
     while d != -1:
         if not (out[d] or (covered is not None and covered[d])):
@@ -564,7 +580,7 @@ def _pairs(xs: bytearray, ys: bytearray) -> int:
     if xs.count(1) > ys.count(1):
         xs, ys = ys, xs
     limit = len(xs) - 1
-    out = bytearray(limit + 1)
+    out = _zeros(limit)
     x = xs.find(1)
     while x != -1:
         n = limit // x
@@ -578,7 +594,7 @@ def _pairs(xs: bytearray, ys: bytearray) -> int:
 
 
 def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
-    proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
+    proved_, unknown_ = _zeros(limit), _zeros(limit)
     for m in range(1, limit + 1):
         v = _member(e, m, budget)
         if v.proved:
@@ -588,16 +604,35 @@ def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, by
     return proved_, unknown_
 
 
-def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
-    # the fallback rule of the module docstring
+def _falls_back(e: SetExpr, limit: int, budget: int) -> bool:
+    """Does _range evaluate the node e itself pointwise? The fallback rule
+    of the module docstring."""
     reach = limit
     if isinstance(e, Down) and facts(e.inner).elements is None:
         reach = max(limit, budget)
     elif isinstance(e, Quot):
         reach = limit * e.n
-    if reach > arith.DEFAULT_SIEVE_CAP or (isinstance(e, ProdSet) and len(e.args) > 2):
+    return reach > arith.DEFAULT_SIEVE_CAP or (isinstance(e, ProdSet) and len(e.args) > 2)
+
+
+def in_bulk(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET) -> bool:
+    """Does evaluate_range(e, limit, budget) evaluate every node of e in
+    bulk, so that it asks member nothing? A child is judged at the limit
+    _range gives it, or at its parent's where that is larger (scale, pow),
+    which can only answer False more often."""
+    if _falls_back(e, limit, budget):
+        return False
+    if isinstance(e, Quot):
+        return in_bulk(e.inner, limit * e.n, budget)
+    if isinstance(e, Down) and facts(e.inner).elements is None:
+        return in_bulk(e.inner, budget, budget)
+    return all(in_bulk(c, limit, budget) for c in children(e))
+
+
+def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
+    if _falls_back(e, limit, budget):
         return _pointwise_range(e, limit, budget)
-    proved_, unknown_ = bytearray(limit + 1), bytearray(limit + 1)
+    proved_, unknown_ = _zeros(limit), _zeros(limit)
     if limit == 0 or isinstance(e, Empty):
         return proved_, unknown_
     if isinstance(e, Mult):

@@ -13,8 +13,8 @@ one, so memory stays bounded and each budget in use is built once per
 refill, not once per call. Only a verdict with a certificate is built
 afresh. Its flags proved, refuted, unknown and decided are slots set by the
 constructor, not properties. The evaluator answers most queries with a
-certificate-free verdict: a default harness run makes 181,513 `_member`
-evaluations and builds 285,234 verdicts. The rule is not enforced at run
+certificate-free verdict: a default harness run makes 81,510 `_member`
+evaluations and builds 266,467 verdicts. The rule is not enforced at run
 time. In October 2026, when a harness round built about 575,000 verdicts,
 read-only fields made the round 17% slower as a tuple subclass and 33%
 slower with a __setattr__ that raises (Python 3.11, 2-vCPU machine).

@@ -276,6 +276,23 @@ def test_library_error_exits_2(capsys, argv, err):
     assert run(capsys, argv) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "N", "--bound", "1000000000000"],
+    ["enumerate", "N", "--bound", "100000000000000000000"],
+    ["harness", "L2.1b", "--bound", "100000000000000000000"],
+    ["antichain", "P", "--bound", "1000000000000"],
+    ["cover", "P", "--bound", "1000000000000"],
+    ["interp", "gen:[mult(2)]", "gen:[mult(3)]", "--bound", "1000000000000"],
+])
+def test_a_range_too_large_to_hold_exits_2(capsys, argv):
+    # a range array of 10**12 bytes cannot be allocated (MemoryError, with
+    # the kernel's default heuristic overcommit) and one of 10**20 cannot
+    # be indexed (OverflowError); either is a BudgetExceededError
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_harness_help_names_every_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harness", "--help"])

@@ -5,11 +5,13 @@ make_filter's fallback, filter_member (and through it divides_tilde,
 d_member and product_member) and extend_antichain run on semantics.scan;
 each must give the answer, certificate and error of its old pointwise
 loop. filter_member also reads its target from one evaluate_range per scan
-window, so its targets include ones whose range takes _range's fallbacks
-(a quot past the sieve cap, a down node, a prodset of three arguments) or
-raises, and a count of member evaluations pins that the range path is the
-one taken. The prime walk now shared by the min member and the chain
-omission witness, and the coprime greedy shared by is_n_free and
+window while semantics.in_bulk says that range asks member nothing, so its
+targets include ones whose range takes _range's fallbacks (a quot past the
+sieve cap, a down node, a prodset of three arguments) or raises, and a
+count of member evaluations pins which path is taken. in_bulk itself must
+be sound: where it says True, evaluate_range makes no member evaluation.
+The prime walk now shared by the min member and the chain omission
+witness, and the coprime greedy shared by is_n_free and
 find_antichain_of_size, must pick what each copy picked.
 """
 
@@ -20,6 +22,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from strategies import exprs, wide_exprs
 
 import divfilters
 from divfilters import arith, default_filters, filters, load_corpus, semantics
@@ -345,6 +351,54 @@ def test_filter_member_reads_its_target_by_range(monkeypatch):
     assert len(full_scans) == 3
     for f, g in full_scans:
         assert _member_calls(monkeypatch, divides_tilde, f, g, DEFAULT_BUDGET) < 100
+
+
+@pytest.mark.parametrize("target", ["prodset(P,P,P)", "union(prodset(P,P,P),{1})"])
+def test_sparse_core_asks_a_pointwise_target_only_at_its_member(target, monkeypatch):
+    # The core's first Proved member is 999990, so a range of the target
+    # would cover [1..999990]; the three-argument prodset, at the top or
+    # nested, makes that range pointwise, 2,862,649 member evaluations,
+    # where asking member at 999990 alone takes a few.
+    budget = 10**6
+    f = make_filter([Lit(frozenset({999990}))], budget)
+    e = parse_expr(target)
+    assert _same_verdict(filter_member(f, e, budget), refuted(budget, 999990))
+    assert _member_calls(monkeypatch, filter_member, f, e, budget) <= 10
+
+
+PAST_THE_CAP = arith.DEFAULT_SIEVE_CAP + 1
+
+
+@given(st.one_of(exprs, wide_exprs), st.sampled_from((1, 64, 10**4, PAST_THE_CAP)),
+       st.sampled_from((300, 10**4, 2 * 10**6)))
+@settings(max_examples=300, deadline=None)
+def test_a_bulk_range_asks_member_nothing(e, limit, budget):
+    if semantics.in_bulk(e, limit, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            assert _member_calls(mp, evaluate_range, e, limit, budget) == 0
+
+
+# a down node's child is ranged over [1..budget], a quot node's over
+# [1..limit*n]: each passes the sieve cap at some limits or budgets only
+CHILD_LIMIT_TARGETS = [parse_expr(t) for t in ("down(quot(P,4))", "quot(quot(P,100),100)")]
+
+
+@pytest.mark.parametrize("limit, budget", [(64, 300), (64, 10**4), (10**4, 10**4),
+                                           (64, 3 * 10**5)])
+def test_in_bulk_is_exact_on_the_corpus_and_fallback_targets(limit, budget, monkeypatch):
+    # in_bulk may answer False for a range that asks member nothing (a
+    # scale or pow child judged at its parent's limit); none of these
+    # expressions is such a case, so on them it is exact both ways
+    targets = (CORPUS + [Quot(e, 1009) for e in QUOT_TARGETS]
+               + [filters.d_set(e) for e in DOWN_TARGETS] + PRODSET_TARGETS
+               + CHILD_LIMIT_TARGETS)
+    kinds = set()
+    for e in targets:
+        bulk = semantics.in_bulk(e, limit, budget)
+        calls = _member_calls(monkeypatch, evaluate_range, e, limit, budget)
+        assert bulk == (calls == 0), render(e)
+        kinds.add(bulk)
+    assert kinds == {True, False}
 
 
 # --- antichain ----------------------------------------------------------------
