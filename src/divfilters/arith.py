@@ -31,8 +31,8 @@ since the last growth times 512 (_ENTRIES_PER_MISS: one trial-divided query
 costs about as much as 512 table entries) reaches m, the table grows to m. A
 pointwise walk past the table so pays at most about twice what growing up
 front would, while a few scattered queries never build the table. Bulk
-callers (primes_upto, omega_table, nth_prime, prime_index) grow the table up
-front.
+callers (primes_upto, nth_prime, prime_index) grow the table up front, and
+past the cap raise BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -218,17 +218,6 @@ def omega(m: int) -> int:
     return count
 
 
-def omega_table(n: int) -> bytearray:
-    """Omega(m) for every 1 <= m <= n, read off the smallest-prime-factor
-    table; entry 0 is unused. Omega stays below 2**8 up to the sieve cap."""
-    _SIEVE.ensure(n)
-    spf = _SIEVE.spf
-    table = bytearray(n + 1)
-    for m in range(2, n + 1):
-        table[m] = table[m // spf[m]] + 1
-    return table
-
-
 def prime_support(m: int) -> frozenset[int]:
     """The set of distinct primes dividing m."""
     _check_natural(m)
@@ -256,8 +245,6 @@ def is_prime(m: int) -> bool:
 def primes_upto(m: int) -> list[int]:
     """All primes <= m, ascending."""
     _check_natural(m)
-    if m > DEFAULT_SIEVE_CAP:
-        raise BudgetExceededError(f"primes_upto({m}) exceeds cap {DEFAULT_SIEVE_CAP}")
     _SIEVE.ensure(m)
     primes = _SIEVE.primes
     return primes[: bisect_right(primes, m)]

@@ -41,7 +41,7 @@ from .antichain import (
 )
 from .corpus import default_filters, load_corpus, random_expressions
 from .chains import build_chain, verify_chain
-from .errors import IncompleteEnumerationError, PreconditionError
+from .errors import BudgetExceededError, IncompleteEnumerationError, PreconditionError
 from .filters import (
     FilterPresentation,
     Quot_of,
@@ -59,6 +59,7 @@ from .semantics import (
     DEFAULT_BUDGET,
     enumerate_upto,
     evaluate_range,
+    in_bulk,
     member,
     quotient_case_rule,
     syntactic_cover,
@@ -321,12 +322,12 @@ def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
 
     bound = p.bound or 300
     params = {"bound": bound}
-    if bound * bound > arith.DEFAULT_SIEVE_CAP:
-        # past the cap evaluate_range falls back to pointwise evaluation,
-        # and it holds two arrays of bound^2 bytes
+    if not in_bulk(Up(Lit(frozenset({2}))), bound * bound, p.budget):
+        # a range of up({q}) that is not in bulk asks member at each of the
+        # bound^2 points
         return [_skip("T2.2", "euclid-shadow", params,
-                      f"bound^2 = {bound * bound} exceeds the sieve cap "
-                      f"{arith.DEFAULT_SIEVE_CAP}")]
+                      f"the range of up({{q}}) to bound^2 = {bound * bound} "
+                      f"is not evaluated in bulk")]
     return [_first("T2.2", "euclid-shadow", params, search(bound, p.budget))]
 
 
@@ -591,5 +592,10 @@ def run_harness(
                 f"unknown lemma id {lemma!r}; valid: {', '.join(LEMMA_IDS)}")
     cases: list[HarnessCase] = []
     for lemma in sorted(ids):
-        cases.extend(_SUITES[lemma](params))
+        try:
+            cases.extend(_SUITES[lemma](params))
+        except BudgetExceededError as exc:
+            # name what the user chose, not the limit a suite derived from it
+            at = "" if params.bound is None else f" at bound {params.bound}"
+            raise BudgetExceededError(f"suite {lemma}{at}: {exc}") from None
     return HarnessReport(tuple(cases), params.seed)

@@ -36,18 +36,21 @@ branch that ranges a child past the node's own limit needs a rule in
 in_bulk too.
 
 member() is the reference semantics. evaluate_range() gives the same states
-for every m in [1..L] at once, node by node over whole ranges. It falls back
-to member() for each m, over the range of that node, in two cases
-(_falls_back): a prodset node of three or more arguments, and any node
-whose range would pass the sieve cap (a quot node reaches L*n, a down node
-over a set that is not explicit reaches the budget). in_bulk(e, L, budget)
-says whether no node of e takes that fallback, so that evaluate_range asks
-member nothing; it judges each child at the limit _range gives it, or at
-its parent's where that is larger. A prodset of two arguments is the set
-of products x*y <= L of a Proved x in one and y in the other, x != y, built
-by strided ORs from the two ranges; its Unknown states follow the search
-order of _prodset_member. A range too large to allocate raises
-BudgetExceededError.
+for every m in [1..L] at once, node by node over whole ranges. A range is
+one bytearray of states, byte m being 0, 1 or 2 for m Refuted, Proved or
+Unknown; union, inter and comp combine ranges through translate tables
+computed from verdict's three_valued_or, _and and _not, and keep no
+connectives of their own. _range falls back to member() for each m, over
+the range of that node, in two cases (_falls_back): a prodset node of three
+or more arguments, and any node whose range would pass the sieve cap (a
+quot node reaches L*n, a down node over a set that is not explicit reaches
+the budget). in_bulk(e, L, budget) says whether no node of e takes that
+fallback, so that evaluate_range asks member nothing; it judges each child
+at the limit _range gives it, or at its parent's where that is larger. A
+prodset of two arguments is the set of products x*y <= L of a Proved x in
+one and y in the other, x != y, built by strided ORs from the two ranges;
+its Unknown states follow the search order of _prodset_member. A range too
+large to allocate raises BudgetExceededError.
 
 evaluate_range backs the dense bounded scans: enumerate_upto and
 is_infinite over [1..L], is_upward_closed and scan() over windows [1..w],
@@ -62,7 +65,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 from . import arith
 from .errors import BudgetExceededError, PreconditionError
@@ -523,6 +526,22 @@ _HANDLERS = {
 
 # --- whole-range evaluation ----------------------------------------------------
 
+# Byte m of a range is the index here of m's state. A connective's translate
+# table maps byte 3*a + b (a, for not) to its verdict's state.
+_STATES = (_REFUTED, _PROVED, _UNKNOWN)
+_VERDICTS = (REFUTED_AT[1], PROVED_AT[1], UNKNOWN_AT[1])
+_OR, _AND, _NOT = (
+    bytes(_STATES.index(connective(*operands).state)
+          for operands in product(_VERDICTS, repeat=arity)).ljust(256, b"\0")
+    for connective, arity in ((three_valued_or, 2), (three_valued_and, 2), (three_valued_not, 1)))
+# 0/1 bytes: is m Proved, Unknown, not Refuted
+_IS_PROVED = bytes.maketrans(b"\2", b"\0")
+_IS_UNKNOWN = bytes.maketrans(b"\1\2", b"\0\1")
+_IS_LIVE = bytes.maketrans(b"\2", b"\1")
+# one more, for counting Omega in a level range
+_SUCC = bytes(range(1, 256)) + b"\xff"
+
+
 def evaluate_range(
     e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[bytearray, bytearray]:
@@ -536,7 +555,8 @@ def evaluate_range(
         raise PreconditionError("budget must be >= 1")
     if limit < 0:
         raise PreconditionError("range limit must be >= 0")
-    return _range(e, limit, budget)
+    states = _range(e, limit, budget)
+    return states.translate(_IS_PROVED), states.translate(_IS_UNKNOWN)
 
 
 def _zeros(limit: int) -> bytearray:
@@ -556,21 +576,22 @@ def _bytes(x: int, limit: int) -> bytearray:
     return bytearray(x.to_bytes(limit + 1, "little"))
 
 
-def _ones(limit: int) -> int:
-    """The bit pattern of a bytearray with byte m == 1 for 1 <= m <= limit."""
-    return _bits(b"\0" + b"\1" * limit)
+def _merge(proved: int, unknown: int, limit: int) -> bytearray:
+    """The states of [0..limit] from the bit patterns of its Proved and its
+    Unknown points; a point in both is Proved."""
+    return _bytes(proved | ((unknown & ~proved) << 1), limit)
 
 
-def _multiples(sources: bytearray, covered: bytearray | None = None) -> bytearray:
-    """Every multiple of each d with sources[d] == 1. A d whose multiples
-    are all marked already, or all lie in `covered`, is skipped."""
-    limit = len(sources) - 1
+def _multiples(states: bytearray, value: int, covered: bytearray | None = None) -> bytearray:
+    """1 at every multiple of each d with states[d] == value. A d whose
+    multiples are all marked already, or all lie in `covered`, is skipped."""
+    limit = len(states) - 1
     out = _zeros(limit)
-    d = sources.find(1)
+    d = states.find(value)
     while d != -1:
         if not (out[d] or (covered is not None and covered[d])):
             out[d::d] = b"\1" * (limit // d)
-        d = sources.find(1, d + 1)
+        d = states.find(value, d + 1)
     return out
 
 
@@ -593,15 +614,11 @@ def _pairs(xs: bytearray, ys: bytearray) -> int:
     return _bits(out)
 
 
-def _pointwise_range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
-    proved_, unknown_ = _zeros(limit), _zeros(limit)
+def _pointwise_range(e: SetExpr, limit: int, budget: int) -> bytearray:
+    states = _zeros(limit)
     for m in range(1, limit + 1):
-        v = _member(e, m, budget)
-        if v.proved:
-            proved_[m] = 1
-        elif v.unknown:
-            unknown_[m] = 1
-    return proved_, unknown_
+        states[m] = _STATES.index(_member(e, m, budget).state)
+    return states
 
 
 def _falls_back(e: SetExpr, limit: int, budget: int) -> bool:
@@ -629,20 +646,20 @@ def in_bulk(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET) -> bool:
     return all(in_bulk(c, limit, budget) for c in children(e))
 
 
-def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
+def _range(e: SetExpr, limit: int, budget: int) -> bytearray:
     if _falls_back(e, limit, budget):
         return _pointwise_range(e, limit, budget)
-    proved_, unknown_ = _zeros(limit), _zeros(limit)
+    states = _zeros(limit)
     if limit == 0 or isinstance(e, Empty):
-        return proved_, unknown_
+        return states
     if isinstance(e, Mult):
-        proved_[e.n :: e.n] = b"\1" * (limit // e.n)
+        states[e.n :: e.n] = b"\1" * (limit // e.n)
     elif isinstance(e, Lit):
         for x in e.elements:
             if x <= limit:
-                proved_[x] = 1
+                states[x] = 1
     elif isinstance(e, Nat):
-        proved_[1:] = b"\1" * limit
+        states[1:] = b"\1" * limit
     elif isinstance(e, (Primes, PrimesIdx, PrimesGeom)):
         primes = arith.primes_upto(limit)
         if isinstance(e, PrimesIdx):
@@ -654,82 +671,72 @@ def _range(e: SetExpr, limit: int, budget: int) -> tuple[bytearray, bytearray]:
                 idx *= e.q
             primes = picked
         for p in primes:
-            proved_[p] = 1
+            states[p] = 1
     elif isinstance(e, Level):
-        table = arith.omega_table(limit)
-        proved_ = table.translate(bytes(int(v == e.n) for v in range(256)))
-        proved_[0] = 0
+        # byte m counts the prime powers that divide m, which is Omega(m)
+        for p in arith.primes_upto(limit):
+            q = p
+            while q <= limit:
+                states[q::q] = states[q::q].translate(_SUCC)
+                q *= p
+        states = states.translate(bytes(int(v == e.n) for v in range(256)))
+        states[0] = 0
     elif isinstance(e, Factorials):
         f, k = 1, 1
         while f <= limit:
-            proved_[f] = 1
+            states[f] = 1
             k += 1
             f *= k
     elif isinstance(e, Up):
-        inner_p, inner_u = _range(e.inner, limit, budget)
-        proved_ = _multiples(inner_p)
-        unknown_ = _bytes(_bits(_multiples(inner_u, proved_)) & ~_bits(proved_), limit)
+        inner = _range(e.inner, limit, budget)
+        p = _multiples(inner, 1)
+        states = _merge(_bits(p), _bits(_multiples(inner, 2, p)), limit)
     elif isinstance(e, Down):
         elements = facts(e.inner).elements
         if elements is not None:
             # exact: the divisors of the elements, found without factoring
             for m in range(1, min(limit, max(elements, default=0)) + 1):
                 if any(x % m == 0 for x in elements):
-                    proved_[m] = 1
+                    states[m] = 1
         else:
-            inner_p, _ = _range(e.inner, budget, budget)
-            for m in range(1, min(limit, budget) + 1):
-                if 1 in inner_p[m::m]:
-                    proved_[m] = 1
             # the search space is unbounded above; finiteness cannot be refuted
-            unknown_ = _bytes(_ones(limit) & ~_bits(proved_), limit)
+            states[1:] = b"\2" * limit
+            inner = _range(e.inner, budget, budget)
+            for m in range(1, min(limit, budget) + 1):
+                if 1 in inner[m::m]:
+                    states[m] = 1
     elif isinstance(e, Quot):
-        inner_p, inner_u = _range(e.inner, limit * e.n, budget)
-        proved_[1:] = inner_p[e.n :: e.n]
-        unknown_[1:] = inner_u[e.n :: e.n]
+        states[1:] = _range(e.inner, limit * e.n, budget)[e.n :: e.n]
     elif isinstance(e, Scale):
-        inner_p, inner_u = _range(e.inner, limit // e.n, budget)
-        proved_[e.n :: e.n] = inner_p[1:]
-        unknown_[e.n :: e.n] = inner_u[1:]
+        states[e.n :: e.n] = _range(e.inner, limit // e.n, budget)[1:]
     elif isinstance(e, Comp):
-        inner_p, inner_u = _range(e.inner, limit, budget)
-        proved_ = _bytes(_ones(limit) & ~(_bits(inner_p) | _bits(inner_u)), limit)
-        unknown_ = inner_u
+        states[1:] = _range(e.inner, limit, budget)[1:].translate(_NOT)
     elif isinstance(e, (Union, Inter)):
-        lp, lu = map(_bits, _range(e.left, limit, budget))
-        rp, ru = map(_bits, _range(e.right, limit, budget))
-        if isinstance(e, Union):
-            # Proved if either side is; Refuted only if both sides are
-            p = lp | rp
-            u = (lu | ru) & ~p
-        else:
-            # Refuted if either side is; Proved only if both sides are
-            p = lp & rp
-            u = (lu | ru) & (lp | lu) & (rp | ru)
-        proved_, unknown_ = _bytes(p, limit), _bytes(u, limit)
+        left, right = (_bits(_range(side, limit, budget)) for side in (e.left, e.right))
+        # a state byte is at most 2, so byte m of 3*left + right is 3*a + b
+        states = _bytes(3 * left + right, limit).translate(
+            _OR if isinstance(e, Union) else _AND)
     elif isinstance(e, PowSet):
         root = _iroot(limit, e.n)
-        base_p, base_u = _range(e.base, root, budget)
+        base = _range(e.base, root, budget)
         for x in range(1, root + 1):
-            proved_[x**e.n] = base_p[x]
-            unknown_[x**e.n] = base_u[x]
+            states[x**e.n] = base[x]
     elif isinstance(e, ProdSet):
         if len(e.args) == 1:
             return _range(e.args[0], limit, budget)
-        (ap, au), (bp, bu) = (_range(a, limit, budget) for a in e.args)
-        p = _pairs(ap, bp)
-        if all(facts(a).primes for a in e.args):
+        a, b = (_range(arg, limit, budget) for arg in e.args)
+        ap, bp = a.translate(_IS_PROVED), b.translate(_IS_PROVED)
+        if all(facts(arg).primes for arg in e.args):
             # _match: m = x*y for distinct primes, each Proved or Unknown
-            u = _pairs(_bytes(_bits(ap) | _bits(au), limit),
-                       _bytes(_bits(bp) | _bits(bu), limit))
+            u = _pairs(a.translate(_IS_LIVE), b.translate(_IS_LIVE))
         else:
             # _prodset_backtrack: an Unknown divisor of m in the first
             # argument, or a Proved one whose cofactor is Unknown in the second
-            u = _bits(_multiples(au)) | _pairs(ap, bu)
-        proved_, unknown_ = _bytes(p, limit), _bytes(u & ~p, limit)
+            u = _bits(_multiples(a, 2)) | _pairs(ap, b.translate(_IS_UNKNOWN))
+        states = _merge(_pairs(ap, bp), u, limit)
     else:
         raise TypeError(f"unknown node {e!r}")
-    return proved_, unknown_
+    return states
 
 
 def enumerate_upto(
@@ -741,8 +748,8 @@ def enumerate_upto(
     """
     if limit > budget:
         raise PreconditionError("enumeration limit must not exceed the budget")
-    proved_, unknown_ = _range(e, max(limit, 0), budget)
-    return list(compress(range(len(proved_)), proved_)), 1 not in unknown_
+    states = _range(e, max(limit, 0), budget)
+    return list(compress(range(len(states)), states.translate(_IS_PROVED))), 2 not in states
 
 
 # --- bounded scans ------------------------------------------------------------
@@ -769,11 +776,11 @@ def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
     for window in _windows(e, max(limit, 0)):
         if window > cap:
             break
-        proved_, unknown_ = _range(e, window, budget)
-        live = _bytes(_bits(proved_) | _bits(unknown_), window)
+        states = _range(e, window, budget)
+        live = states.translate(_IS_LIVE)
         m = live.find(1, done + 1)
         while m != -1:
-            yield m, proved_[m] == 1
+            yield m, states[m] == 1
             m = live.find(1, m + 1)
         done = window
     for m in range(done + 1, limit + 1):
@@ -792,16 +799,15 @@ def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
     # smaller m may have a refuted multiple past the window.
     limit = max(budget, 0)
     for window in _windows(e, limit):
-        proved_, unknown_ = _range(e, window, budget)
-        refuted_ = _bytes(_ones(window) & ~(_bits(proved_) | _bits(unknown_)), window)
-        least = m = proved_.find(1)
+        states = _range(e, window, budget)
+        least = m = states.find(1)
         while m != -1:
-            i = refuted_[2 * m :: m].find(1)
+            i = states[2 * m :: m].find(0)
             if i != -1:
                 if window == limit or m == least:
                     return refuted(budget, (m, (i + 2) * m))
                 break
-            m = proved_.find(1, m + 1)
+            m = states.find(1, m + 1)
     return unknown(budget)
 
 
@@ -814,7 +820,7 @@ def is_infinite(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
         return proved(budget, "structural")
     if shape.finite:
         return refuted(budget, "structural")
-    return unknown(budget, _range(e, max(budget, 0), budget)[0].count(1))
+    return unknown(budget, _range(e, max(budget, 0), budget).count(1))
 
 
 # --- Up(B)/m case rule for finite prime B ------------------------------------

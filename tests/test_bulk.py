@@ -31,6 +31,7 @@ from divfilters.setexpr import (
     Comp,
     Down,
     Inter,
+    Level,
     Lit,
     Mult,
     PowSet,
@@ -219,8 +220,15 @@ def test_evaluate_range_rejects_bad_bounds():
 
 
 def test_omega_table_matches_omega():
-    table = arith.omega_table(5000)
-    assert all(table[m] == arith.omega(m) for m in range(1, 5001))
+    # a level range counts Omega by prime-power strides: check every level
+    # up to one past the largest Omega at the limit, and a limit that is
+    # itself a prime power
+    for limit in (5000, 2**12):
+        omegas = [arith.omega(m) for m in range(1, limit + 1)]
+        for n in range(max(omegas) + 2):
+            proved_, unknown_ = evaluate_range(Level(n), limit, BUDGET)
+            assert list(proved_[1:]) == [int(omega == n) for omega in omegas]
+            assert 1 not in unknown_
 
 
 # --- the routed scans against their pointwise forms ---------------------------
@@ -349,6 +357,26 @@ def test_window_scan_walks_pointwise_past_the_sieve_cap(monkeypatch):
     assert next(scan(with_down, 3000, 3000)) == (1, True) and windows == []
     assert list(scan(with_down, 900, 900)) == _reference_scan(with_down, 900, 900)
     assert windows == [900]
+
+
+def test_scan_asks_member_alone_under_a_down_with_a_budget_past_the_cap(monkeypatch):
+    # the down node's inner range would span [1..budget], past the sieve
+    # cap, so scan opens no window and asks member from m = 1: mult(7)
+    # refutes 1 and down(primesIdx(1,2)) proves it at 2, five evaluations;
+    # a window of [1..limit] would range the down node pointwise instead
+    calls = 0
+    real = semantics._member
+
+    def counting(e, m, budget):
+        nonlocal calls
+        calls += 1
+        if calls > 10:
+            raise AssertionError("scan asked member more than 10 times")
+        return real(e, m, budget)
+
+    monkeypatch.setattr(semantics, "_member", counting)
+    e = parse_expr("union(mult(7),down(primesIdx(1,2)))")
+    assert next(scan(e, 10**6, 2 * 10**6)) == (1, True)
 
 
 def test_window_scan_opens_windows_for_a_bare_prodset(monkeypatch):

@@ -293,6 +293,14 @@ def test_a_range_too_large_to_hold_exits_2(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_suite_range_too_large_names_the_suite_and_the_bound(capsys):
+    # L2.1b ranges up to half the bound; the error names the bound given
+    code, out, err = run(capsys, ["harness", "L2.1b", "--bound", "100000000000000000000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: suite L2.1b at bound 100000000000000000000: ")
+    assert "Traceback" not in err
+
+
 def test_harness_help_names_every_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["harness", "--help"])

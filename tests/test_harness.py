@@ -189,10 +189,10 @@ def _flip_range_at(monkeypatch, target, point):
     right = semantics._range
 
     def wrong(e, limit, budget):
-        proved_, unknown_ = right(e, limit, budget)
+        states = right(e, limit, budget)
         if e == target and limit >= point:
-            proved_[point] ^= 1
-        return proved_, unknown_
+            states[point] ^= 1  # Proved <-> Refuted
+        return states
 
     monkeypatch.setattr(semantics, "_range", wrong)
 
@@ -224,7 +224,8 @@ def test_t22_skips_past_the_sieve_cap():
     [case] = run_harness(["T2.2"], HarnessParams(bound=1001)).cases
     assert time.perf_counter() - start < 1
     assert (case.case_id, case.outcome) == ("euclid-shadow", "skipped")
-    assert case.detail == "bound^2 = 1002001 exceeds the sieve cap 1000000"
+    assert case.detail == ("the range of up({q}) to bound^2 = 1002001 "
+                           "is not evaluated in bulk")
 
 
 @pytest.mark.parametrize("budget", [1, 300, semantics.DEFAULT_BUDGET])
