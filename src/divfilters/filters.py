@@ -15,15 +15,10 @@ e itself when e is upward closed. For a principal H at h, the set A_H(e) =
 {m : e/m in H} is quot(e,h).
 
 The syntactic facts these operations consult (upward closed, a prime set,
-the elements of an explicit core) come from semantics.facts. The bounded
-searches run on semantics.scan. filter_member walks the core with scan and
-reads its target only at the core's Proved members, from one
-evaluate_range per window [1..w], w = 64 growing fourfold and at least the
-member asked about, up to the budget, as long as semantics.in_bulk says
-that range asks member nothing; from the first window where it would, the
-walk asks member at each Proved core member instead. A scan of
-inter(core,comp(e)) would be shorter but evaluates e where the core is
-Unknown, and there e can raise past the cap where this walk answers.
+the elements of an explicit core) come from semantics.facts, and
+make_filter's search for a core member runs on semantics.scan. A generated
+filter holds e exactly when semantics.is_subset(core, e) holds: every
+question above is that one inclusion verdict on other sets.
 
 True free ultrafilters are not finitely presentable and are out of scope;
 the operations here are exact on the presentable fragment and return
@@ -42,12 +37,10 @@ from .semantics import (
     DEFAULT_BUDGET,
     _as_up,
     enumerate_upto,
-    evaluate_range,
     facts,
-    in_bulk,
+    is_subset,
     member,
     scan,
-    structurally_subset,
 )
 from .setexpr import (
     Comp,
@@ -198,30 +191,10 @@ def filter_member(
     f: FilterPresentation, e: SetExpr, budget: int = DEFAULT_BUDGET
 ) -> Verdict:
     """Does the set denoted by e belong to the filter? (e belongs iff it
-    contains the core.) A refutation names the least core member e refutes.
-    e is read at the core's Proved members only, by the window rule of the
-    module docstring."""
+    contains the core.) A refutation names the least core member e refutes."""
     if f.principal:
         return member(e, f.point, budget)
-    if structurally_subset(f.core, e, budget):
-        return proved(budget, "structural")
-    window = 0
-    for b, is_proved in scan(f.core, budget, budget):
-        if not is_proved:
-            continue
-        if b > window:
-            window = min(max(4 * window, 64, b), budget)
-            # False stays False as the window grows: member to the end
-            bulk = in_bulk(e, window, budget)
-            if bulk:
-                e_proved, e_unknown = evaluate_range(e, window, budget)
-        if bulk:
-            refutes = not (e_proved[b] or e_unknown[b])
-        else:
-            refutes = member(e, b, budget).refuted
-        if refutes:
-            return refuted(budget, b)
-    return unknown(budget)
+    return is_subset(f.core, e, budget)
 
 
 def divides_tilde(

@@ -285,11 +285,11 @@ def _suite_l21b(p: HarnessParams) -> list[HarnessCase]:
 def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
     """principal(a).principal(b) holds up({q}) exactly when q | a*b, so the
     grid of pairs a, b <= bound is read from one range of up({q}) up to
-    bound^2: row a is the slice of its multiples a*b. Euclid says the row is
-    all ones when q | a and has ones exactly at the multiples of q
-    otherwise. product_member is asked pointwise on row 1, column 1 and the
-    diagonal, so a fault in either path fails the suite; the first failing
-    pair in (q, a, b) order is reported, with the query that made it."""
+    bound^2: row a is the slice of its multiples a*b. Euclid says its states
+    are all 1 (Proved) when q | a, else 1 exactly at the multiples of q and 0
+    (Refuted) elsewhere. product_member is asked pointwise on row 1, column 1
+    and the diagonal, so a fault in either path fails the suite; the first
+    failing pair in (q, a, b) order is reported, with the query that made it."""
     def search(bound: int, budget: int):
         points = [principal(i) for i in range(1, bound + 1)]
         sample = sorted({(1, b) for b in range(1, bound + 1)}
@@ -306,9 +306,9 @@ def _suite_t22(p: HarnessParams) -> list[HarnessCase]:
                     bad.append((a, b, _replay(budget, "product-member", f"principal:{a}",
                                               f"principal:{b}", render(target))))
                     break
-            proved_, _ = evaluate_range(target, bound * bound, budget)
+            states = evaluate_range(target, bound * bound, budget)
             for a in range(1, bound + 1):
-                row = proved_[a : a * bound + 1 : a]
+                row = states[a : a * bound + 1 : a]
                 want = everywhere if a % q == 0 else multiples
                 if row != want:
                     b = next(i for i in range(bound) if row[i] != want[i]) + 1
@@ -455,6 +455,11 @@ def _suite_t42(p: HarnessParams) -> list[HarnessCase]:
 
 # --- L5.3: duality on the corpus ------------------------------------------------
 
+# L5.3 and T5.4ii search greedy antichains up to one limit, and replay that search
+_GREEDY_LIMIT = 10**5
+_GREEDY_REPLAY = ("--bound", str(_GREEDY_LIMIT), "--greedy")
+
+
 def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
     bound = p.bound or 1000
     cases = []
@@ -479,14 +484,15 @@ def _suite_l53(p: HarnessParams) -> list[HarnessCase]:
         if verdict.proved:
             # the greedy antichain of size t is the first t members of one
             # fixed sequence, so size 6 succeeds iff every size 1..6 does
-            ok = find_antichain_of_size(e, 6, 10**5, p.budget) is not None
+            ok = find_antichain_of_size(e, 6, _GREEDY_LIMIT, p.budget) is not None
             missing = None if ok else next(
-                t for t in range(1, 7) if find_antichain_of_size(e, t, 10**5, p.budget) is None)
+                t for t in range(1, 7)
+                if find_antichain_of_size(e, t, _GREEDY_LIMIT, p.budget) is None)
             cases.append(_case(
                 "L5.3", name, ok, params,
                 detail="antichains of sizes 1..6 found" if ok
                        else f"no antichain of size {missing}",
-                replay=_replay(p.budget, "antichain", name, "--bound", "100000", "--greedy"),
+                replay=_replay(p.budget, "antichain", name, *_GREEDY_REPLAY),
             ))
         else:
             cases.append(_skip("L5.3", name, params,
@@ -509,12 +515,11 @@ def _suite_t54ii(p: HarnessParams) -> list[HarnessCase]:
             if not filter_member(f, e, p.budget).proved:
                 continue
             name = f"{fname} ∋ {render(e)}"
-            ok = find_antichain_of_size(e, 4, 10**5, p.budget) is not None
+            ok = find_antichain_of_size(e, 4, _GREEDY_LIMIT, p.budget) is not None
             cases.append(_case(
                 "T5.4ii", name, ok, {"filter": fname, "expression": render(e)},
                 detail="antichains of sizes 1..4 found" if ok else "missing size",
-                replay=_replay(p.budget, "antichain", render(e), "--bound", "100000",
-                               "--greedy"),
+                replay=_replay(p.budget, "antichain", render(e), *_GREEDY_REPLAY),
             ))
     return cases
 

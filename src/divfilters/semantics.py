@@ -36,21 +36,21 @@ branch that ranges a child past the node's own limit needs a rule in
 in_bulk too.
 
 member() is the reference semantics. evaluate_range() gives the same states
-for every m in [1..L] at once, node by node over whole ranges. A range is
-one bytearray of states, byte m being 0, 1 or 2 for m Refuted, Proved or
-Unknown; union, inter and comp combine ranges through translate tables
-computed from verdict's three_valued_or, _and and _not, and keep no
-connectives of their own. _range falls back to member() for each m, over
-the range of that node, in two cases (_falls_back): a prodset node of three
-or more arguments, and any node whose range would pass the sieve cap (a
-quot node reaches L*n, a down node over a set that is not explicit reaches
-the budget). in_bulk(e, L, budget) says whether no node of e takes that
-fallback, so that evaluate_range asks member nothing; it judges each child
-at the limit _range gives it, or at its parent's where that is larger. A
-prodset of two arguments is the set of products x*y <= L of a Proved x in
-one and y in the other, x != y, built by strided ORs from the two ranges;
-its Unknown states follow the search order of _prodset_member. A range too
-large to allocate raises BudgetExceededError.
+for every m in [1..L] at once, node by node over whole ranges, and returns
+the range it builds: one bytearray of states, byte m being 0, 1 or 2 for m
+Refuted, Proved or Unknown; union, inter and comp combine ranges through
+translate tables computed from verdict's three_valued_or, _and and _not,
+and keep no connectives of their own. _range falls back to member() for
+each m, over the range of that node, in two cases (_falls_back): a prodset
+node of three or more arguments, and any node whose range would pass the
+sieve cap (a quot node reaches L*n, a down node over a set that is not
+explicit reaches the budget). in_bulk(e, L, budget) says whether no node of
+e takes that fallback, so that evaluate_range asks member nothing; it
+judges each child at the limit _range gives it, or at its parent's where
+that is larger. A prodset of two arguments is the set of products x*y <= L
+of a Proved x in one and y in the other, x != y, built by strided ORs from
+the two ranges; its Unknown states follow the search order of
+_prodset_member. A range too large to allocate raises BudgetExceededError.
 
 evaluate_range backs the dense bounded scans: enumerate_upto and
 is_infinite over [1..L], is_upward_closed and scan() over windows [1..w],
@@ -58,6 +58,13 @@ w = 64 growing fourfold up to L, or w = L with a down node (its inner set
 spans [1..budget] in any window). scan() asks member about each m instead
 where _range would only repeat that work: past the sieve cap, and for a
 down node with a budget past it.
+
+is_subset(a, e, budget), the inclusion verdict behind every filter
+question, walks a with scan and reads e only at a's Proved members: from one
+evaluate_range per window [1..w], w = 64 growing fourfold and at least the
+member asked about, up to the budget, while in_bulk says that range asks
+member nothing, then by member at each. A scan of inter(a,comp(e)) would
+evaluate e where a is Unknown, and there e can raise past the cap.
 """
 
 from __future__ import annotations
@@ -542,21 +549,15 @@ _IS_LIVE = bytes.maketrans(b"\2", b"\1")
 _SUCC = bytes(range(1, 256)) + b"\xff"
 
 
-def evaluate_range(
-    e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET
-) -> tuple[bytearray, bytearray]:
-    """The states of member(e, m, budget) for every m in [1..limit] at once.
-
-    Returns (proved, unknown): two bytearrays of length limit + 1 whose byte
-    m is 1 when m is Proved, resp. UnknownAtBound; every other m is Refuted.
-    Byte 0 is always 0.
-    """
+def evaluate_range(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET) -> bytearray:
+    """The states of member(e, m, budget) for every m in [1..limit] at once:
+    a bytearray of length limit + 1 whose byte m is 0, 1 or 2 for m
+    Refuted, Proved or UnknownAtBound. Byte 0 is always 0."""
     if budget < 1:
         raise PreconditionError("budget must be >= 1")
     if limit < 0:
         raise PreconditionError("range limit must be >= 0")
-    states = _range(e, limit, budget)
-    return states.translate(_IS_PROVED), states.translate(_IS_UNKNOWN)
+    return _range(e, limit, budget)
 
 
 def _zeros(limit: int) -> bytearray:
@@ -787,6 +788,25 @@ def scan(e: SetExpr, limit: int, budget: int = DEFAULT_BUDGET):
         state = _member(e, m, budget).state
         if state is not _REFUTED:
             yield m, state is _PROVED
+
+
+def is_subset(a: SetExpr, e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """Is a <= e? Proved by a structural rule, Refuted at the least Proved
+    member of a up to the budget that e refutes, Unknown otherwise."""
+    if structurally_subset(a, e, budget):
+        return proved(budget, "structural")
+    window = 0
+    for b, is_proved in scan(a, budget, budget):
+        if not is_proved:
+            continue
+        if b > window:
+            window = min(max(4 * window, 64, b), budget)
+            # False stays False as the window grows: member to the end
+            states = evaluate_range(e, window, budget) if in_bulk(e, window, budget) else None
+        refutes = states[b] == 0 if states is not None else _member(e, b, budget).refuted
+        if refutes:
+            return refuted(budget, b)
+    return unknown(budget)
 
 
 def is_upward_closed(e: SetExpr, budget: int = DEFAULT_BUDGET) -> Verdict:

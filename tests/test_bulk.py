@@ -54,19 +54,11 @@ UNBOUNDED_ANTICHAIN = ("prodset(P,P)", "up(primesIdx(1,2))")
 
 
 def _bulk_states(e, limit, budget):
-    proved_, unknown_ = evaluate_range(e, limit, budget)
-    assert len(proved_) == len(unknown_) == limit + 1
-    assert proved_[0] == unknown_[0] == 0
-    states = []
-    for m in range(1, limit + 1):
-        assert not (proved_[m] and unknown_[m])
-        if proved_[m]:
-            states.append(ProofState.PROVED)
-        elif unknown_[m]:
-            states.append(ProofState.UNKNOWN)
-        else:
-            states.append(ProofState.REFUTED)
-    return states
+    states = evaluate_range(e, limit, budget)
+    assert len(states) == limit + 1
+    assert states[0] == 0
+    assert set(states) <= {0, 1, 2}
+    return [(ProofState.REFUTED, ProofState.PROVED, ProofState.UNKNOWN)[s] for s in states[1:]]
 
 
 def _pointwise_states(e, limit, budget):
@@ -226,9 +218,9 @@ def test_omega_table_matches_omega():
     for limit in (5000, 2**12):
         omegas = [arith.omega(m) for m in range(1, limit + 1)]
         for n in range(max(omegas) + 2):
-            proved_, unknown_ = evaluate_range(Level(n), limit, BUDGET)
-            assert list(proved_[1:]) == [int(omega == n) for omega in omegas]
-            assert 1 not in unknown_
+            states = evaluate_range(Level(n), limit, BUDGET)
+            assert list(states[1:]) == [int(omega == n) for omega in omegas]
+            assert 2 not in states
 
 
 # --- the routed scans against their pointwise forms ---------------------------

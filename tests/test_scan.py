@@ -4,11 +4,12 @@ they replaced, kept here as the references.
 make_filter's fallback, filter_member (and through it divides_tilde,
 d_member and product_member) and extend_antichain run on semantics.scan;
 each must give the answer, certificate and error of its old pointwise
-loop. filter_member also reads its target from one evaluate_range per scan
-window while semantics.in_bulk says that range asks member nothing, so its
-targets include ones whose range takes _range's fallbacks (a quot past the
-sieve cap, a down node, a prodset of three arguments) or raises, and a
-count of member evaluations pins which path is taken. in_bulk itself must
+loop. filter_member asks semantics.is_subset, which reads the target from
+one evaluate_range per scan window while semantics.in_bulk says that range
+asks member nothing, so its targets include ones whose range takes
+_range's fallbacks (a quot past the sieve cap, a down node, a prodset of
+three arguments) or raises, and a count of member evaluations pins which
+path is taken. in_bulk itself must
 be sound: where it says True, evaluate_range makes no member evaluation.
 The prime walk now shared by the min member and the chain omission
 witness, and the coprime greedy shared by is_n_free and
@@ -197,15 +198,31 @@ def test_down_core_past_the_sieve_cap_stops_at_its_first_member():
 
 # --- filter_member and the operations built on it -----------------------------
 
+def _reference_is_subset(a, e, budget):
+    if structurally_subset(a, e, budget):
+        return proved(budget, "structural")
+    for b in range(1, budget + 1):
+        if member(a, b, budget).proved and member(e, b, budget).refuted:
+            return refuted(budget, b)
+    return unknown(budget)
+
+
 def _reference_filter_member(f, e, budget):
     if f.principal:
         return member(e, f.point, budget)
-    if structurally_subset(f.core, e, budget):
-        return proved(budget, "structural")
-    for b in range(1, budget + 1):
-        if member(f.core, b, budget).proved and member(e, b, budget).refuted:
-            return refuted(budget, b)
-    return unknown(budget)
+    return _reference_is_subset(f.core, e, budget)
+
+
+@pytest.mark.parametrize("budget", (300, 1000))
+def test_is_subset_equals_reference_on_the_corpus(budget):
+    # every corpus set as a, not only the default filter cores
+    states = set()
+    for a in CORPUS:
+        for e in CORPUS:
+            got = semantics.is_subset(a, e, budget)
+            assert _same_verdict(got, _reference_is_subset(a, e, budget)), (render(a), render(e))
+            states.add(got.state)
+    assert len(states) == 3
 
 
 def _filter_answers(budget):
@@ -273,7 +290,7 @@ def _windows_read(monkeypatch, f, e, budget):
         windows.append(limit)
         return evaluate_range(e, limit, budget)
 
-    monkeypatch.setattr(filters, "evaluate_range", recording)
+    monkeypatch.setattr(semantics, "evaluate_range", recording)
     return windows, filters.filter_member(f, e, budget)
 
 

@@ -112,10 +112,10 @@ def test_expression_at_max_depth_is_usable(text):
     assert depth(e) == MAX_DEPTH
     assert render(e) == text
     states = [member(e, m, 100).state for m in range(1, 31)]
-    proved, unknown = evaluate_range(e, 30, 100)
-    assert [m for m in range(1, 31) if proved[m]] == \
+    bulk = evaluate_range(e, 30, 100)
+    assert [m for m in range(1, 31) if bulk[m] == 1] == \
         [m for m in range(1, 31) if states[m - 1].value == "proved"]
-    assert not any(unknown)
+    assert 2 not in bulk
     is_upward_closed(e, 100)
     assert [member(simplify(e), m, 100).state for m in range(1, 31)] == states
 
